@@ -2,12 +2,11 @@
 //! committed `BENCH_*.json` files and reports per-check verdicts.
 //!
 //! The gate only compares quantities that are *host- and
-//! scale-independent ratios* (scheduler speedup, batched-vs-scalar trial
-//! throughput, sampler speedup, cache speedup, wire-vs-JSON replay
+//! scale-independent ratios* (scheduler speedup, phase-engine-vs-exact
+//! trial throughput, sampler speedup, cache speedup, wire-vs-JSON replay
 //! speedup and compression, dedup efficiency normalized by client
-//! count) plus four hard invariants (cross-thread determinism, engine
-//! results invariant under the batch toggle, byte-identical cache
-//! replay, exact wire-to-JSON transcode).
+//! count) plus three hard invariants (cross-thread determinism,
+//! byte-identical cache replay, exact wire-to-JSON transcode).
 //! Absolute throughputs (trials/sec, req/sec) vary with the CI host and
 //! are recorded in the snapshots but never gated on.
 //!
@@ -213,14 +212,6 @@ pub fn gate_snapshots(committed: &Snapshots, fresh: &Snapshots, tolerance: f64) 
         report.invariant("cache replays byte-identical bodies", identical);
     }
 
-    if let Some(identical) = boolean(
-        &fresh.runner,
-        "trial_throughput.batch_toggle_identical",
-        &mut errors,
-    ) {
-        report.invariant("engine results invariant under batch toggle", identical);
-    }
-
     // Scheduler: work-stealing vs contiguous-chunk makespan ratio.
     if let (Some(c), Some(f)) = (
         num(&committed.runner, "scheduler.speedup", &mut errors),
@@ -319,7 +310,7 @@ mod tests {
     fn snapshots(scheduler_speedup: f64, sampler_speedup: f64, cache_speedup: f64) -> Snapshots {
         let runner = Json::parse(&format!(
             r#"{{"deterministic_across_threads_and_schedulers": true,
-                 "trial_throughput": {{"speedup": 2.0, "batch_toggle_identical": true}},
+                 "trial_throughput": {{"speedup": 2.0}},
                  "scheduler": {{"speedup": {scheduler_speedup}}}}}"#
         ))
         .unwrap();
@@ -402,7 +393,7 @@ mod tests {
         let mut fresh = snapshots(2.5, 9.0, 60.0);
         fresh.runner = Json::parse(
             r#"{"deterministic_across_threads_and_schedulers": true,
-                "trial_throughput": {"speedup": 0.5, "batch_toggle_identical": true},
+                "trial_throughput": {"speedup": 0.5},
                 "scheduler": {"speedup": 2.5}}"#,
         )
         .unwrap();
@@ -411,23 +402,6 @@ mod tests {
         assert!(report
             .render()
             .contains("FAIL  runner trial throughput speedup"));
-    }
-
-    #[test]
-    fn batch_toggle_mismatch_is_a_hard_failure() {
-        let committed = snapshots(2.5, 9.0, 60.0);
-        let mut fresh = snapshots(2.5, 9.0, 60.0);
-        fresh.runner = Json::parse(
-            r#"{"deterministic_across_threads_and_schedulers": true,
-                "trial_throughput": {"speedup": 99.0, "batch_toggle_identical": false},
-                "scheduler": {"speedup": 2.5}}"#,
-        )
-        .unwrap();
-        let report = gate_snapshots(&committed, &fresh, DEFAULT_TOLERANCE);
-        assert!(!report.passed());
-        assert!(report
-            .render()
-            .contains("FAIL  engine results invariant under batch toggle"));
     }
 
     #[test]

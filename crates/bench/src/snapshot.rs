@@ -37,8 +37,7 @@ use levy_grid::Point;
 use levy_rng::{JumpLengthDistribution, SeedStream};
 use levy_sim::{chunked, run_trials, Json};
 use levy_walks::{
-    batch_enabled, levy_walk_hitting_time, levy_walk_hitting_time_exact,
-    parallel_hitting_time_common, set_batch_enabled,
+    levy_walk_hitting_time, levy_walk_hitting_time_exact, parallel_hitting_time_common,
 };
 use rand::rngs::SmallRng;
 
@@ -231,11 +230,8 @@ pub fn runner_snapshot(profile: &Profile) -> Json {
     // 2.5, 2.8}, per-cell trials weighted ∝ ℓ^{3−α} as E1 weights them).
     // `scalar` is `levy_walk_hitting_time_exact`, the step-level walk the
     // phase engine is validated against for distribution equality;
-    // `batched` is the phase engine in its default configuration (one
-    // block-sampled draw plus an O(1) corridor check per phase). A third
-    // pass re-runs the engine with the prefetch toggle flipped and pins
-    // byte-identical results — the invariant the gate enforces alongside
-    // the throughput ratio.
+    // `batched` is the phase engine (one per-phase draw plus an O(1)
+    // corridor check per phase).
     let tp_alphas = [2.2f64, 2.5, 2.8];
     let tp_ells: [u64; 5] = [16, 32, 64, 128, 256];
     let tp_base = profile.throughput_base;
@@ -275,12 +271,6 @@ pub fn runner_snapshot(profile: &Profile) -> Json {
     let (mut scalar_hits, mut batched_hits) = (Vec::new(), Vec::new());
     let scalar_secs = time_sweep(levy_walk_hitting_time_exact, &mut scalar_hits);
     let batched_secs = time_sweep(levy_walk_hitting_time, &mut batched_hits);
-    let mut toggled_hits = Vec::new();
-    let was_batched = batch_enabled();
-    set_batch_enabled(!was_batched);
-    sweep(levy_walk_hitting_time, &mut toggled_hits);
-    set_batch_enabled(was_batched);
-    let batch_toggle_identical = toggled_hits == batched_hits;
     let tp_trials = batched_hits.len() as u64;
     let batch_speedup = scalar_secs / batched_secs.max(1e-12);
 
@@ -323,7 +313,7 @@ pub fn runner_snapshot(profile: &Profile) -> Json {
     );
     println!("runner: deterministic across threads/schedulers = {deterministic}");
     println!(
-        "runner: trial throughput scalar {:.0}/s vs batched {:.0}/s over {tp_trials} trials -> {batch_speedup:.2}x, toggle-invariant = {batch_toggle_identical}",
+        "runner: trial throughput scalar {:.0}/s vs batched {:.0}/s over {tp_trials} trials -> {batch_speedup:.2}x",
         tp_trials as f64 / scalar_secs.max(1e-12),
         tp_trials as f64 / batched_secs.max(1e-12),
     );
@@ -360,7 +350,7 @@ pub fn runner_snapshot(profile: &Profile) -> Json {
         ("trial_throughput", Json::obj([
             ("workload", Json::from("E1 alpha-sweep, single thread: per-cell trials = max(base*ell^(3-alpha)/8, base)")),
             ("scalar", Json::from("levy_walk_hitting_time_exact (step-level walk)")),
-            ("batched", Json::from("phase engine: block-sampled draws, corridor early-rejection")),
+            ("batched", Json::from("phase engine: per-phase draws, corridor early-rejection")),
             ("alphas", Json::arr(tp_alphas.iter().map(|&a| Json::from(a)))),
             ("ells", Json::arr(tp_ells.iter().map(|&e| Json::from(e)))),
             ("budget_rule", Json::from("ceil(4 * ell^1.5)")),
@@ -373,7 +363,6 @@ pub fn runner_snapshot(profile: &Profile) -> Json {
             ("scalar_trials_per_sec", Json::from(tp_trials as f64 / scalar_secs.max(1e-12))),
             ("batched_trials_per_sec", Json::from(tp_trials as f64 / batched_secs.max(1e-12))),
             ("speedup", Json::from(batch_speedup)),
-            ("batch_toggle_identical", Json::from(batch_toggle_identical)),
         ])),
         ("scheduler", Json::obj([
             ("chunked_makespan_secs", Json::from(chunked_span)),

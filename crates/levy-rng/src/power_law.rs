@@ -65,7 +65,7 @@ impl PartialEq for JumpLengthDistribution {
     }
 }
 
-/// Which sampler resolved a raw draw (for bulk tallying in batch refills).
+/// Which sampler resolved a raw draw (for bulk tallying in [`ScalarPhases`]).
 ///
 /// Mirrors the tallying of [`JumpLengthDistribution::sample`]: table and
 /// Devroye draws are counted, the untabled zero-coin outcome is not.
@@ -229,8 +229,7 @@ impl JumpLengthDistribution {
 
     /// Draws one jump length without recording any observability tallies,
     /// reporting which sampler resolved it. Consumes exactly the RNG words
-    /// [`Self::sample`] would; block refills ([`crate::JumpBatch`]) use it
-    /// and tally in bulk.
+    /// [`Self::sample`] would; [`ScalarPhases`] uses it and tallies in bulk.
     #[inline]
     pub(crate) fn sample_raw<R: Rng + ?Sized>(&self, rng: &mut R) -> (u64, DrawPath) {
         match &self.table {
@@ -266,6 +265,74 @@ impl JumpLengthDistribution {
                 return d;
             }
         }
+    }
+}
+
+/// Per-phase jump geometry for the phase engine: draw-path counts
+/// accumulate locally and flush to the shared counters when the source is
+/// dropped (once per trial instead of once per draw).
+#[derive(Debug)]
+pub struct ScalarPhases {
+    /// Per-α spectrum gate, hoisted to construction (recording never
+    /// consumes RNG words, so the hoist cannot shift the stream).
+    spectrum_on: bool,
+    table_draws: u64,
+    devroye_draws: u64,
+}
+
+impl ScalarPhases {
+    /// Creates a phase source for one trial.
+    #[allow(clippy::new_without_default)] // a trial-scoped source, not a value type
+    pub fn new() -> Self {
+        ScalarPhases {
+            spectrum_on: levy_obs::observers_enabled(),
+            table_draws: 0,
+            devroye_draws: 0,
+        }
+    }
+
+    /// Draws the next phase's `(length, destination index)`: the
+    /// truncated-length rejection loop of
+    /// [`JumpLengthDistribution::sample_truncated`] (a bare
+    /// [`JumpLengthDistribution::sample`] when uncapped), then one
+    /// `gen_range(0..4*d)` destination index for positive lengths.
+    ///
+    /// The destination index addresses `Ring::node_at` of the ring
+    /// `R_d(pos)` in `levy-grid` (`4·d` nodes for `d >= 1`); it is `0` for
+    /// a zero-length jump.
+    #[inline]
+    pub fn next_phase<R: Rng + ?Sized>(
+        &mut self,
+        law: &JumpLengthDistribution,
+        cap: Option<u64>,
+        rng: &mut R,
+    ) -> (u64, u64) {
+        // No cap accepts every draw on the first attempt, so the word
+        // stream matches the uncapped path exactly.
+        let cap = cap.unwrap_or(u64::MAX);
+        let d = loop {
+            let (d, path) = law.sample_raw(rng);
+            match path {
+                DrawPath::Table => self.table_draws += 1,
+                DrawPath::Devroye => self.devroye_draws += 1,
+                DrawPath::ZeroCoin => {}
+            }
+            if self.spectrum_on {
+                crate::obs::record_jump_length(law.alpha(), d);
+            }
+            if d <= cap {
+                break d;
+            }
+        };
+        let dir = if d > 0 { rng.gen_range(0..4 * d) } else { 0 };
+        (d, dir)
+    }
+}
+
+impl Drop for ScalarPhases {
+    fn drop(&mut self) {
+        crate::obs::record_table_draws(self.table_draws);
+        crate::obs::record_devroye_draws(self.devroye_draws);
     }
 }
 
@@ -545,6 +612,42 @@ mod tests {
         let mut rng = SmallRng::seed_from_u64(4);
         for _ in 0..10_000 {
             assert!(d.sample_truncated(&mut rng, 50) <= 50);
+        }
+    }
+
+    #[test]
+    fn scalar_phases_reproduce_the_sample_word_order() {
+        // The reference consumption of one phase: a truncated length draw
+        // (bare `sample` when uncapped), then the destination index.
+        let tabled = JumpLengthDistribution::new(2.5).unwrap();
+        let untabled = JumpLengthDistribution::new_untabled(2.2).unwrap();
+        for (law, cap) in [
+            (&tabled, None),
+            (&tabled, Some(20)),
+            (&tabled, Some(u64::MAX)),
+            (&untabled, None),
+            (&untabled, Some(5)),
+        ] {
+            let mut reference_rng = SmallRng::seed_from_u64(42);
+            let mut rng = reference_rng.clone();
+            let mut phases = ScalarPhases::new();
+            for _ in 0..500 {
+                let d = match cap {
+                    Some(cap) => law.sample_truncated(&mut reference_rng, cap),
+                    None => law.sample(&mut reference_rng),
+                };
+                let dir = if d > 0 {
+                    reference_rng.gen_range(0..4 * d)
+                } else {
+                    0
+                };
+                assert_eq!(
+                    phases.next_phase(law, cap, &mut rng),
+                    (d, dir),
+                    "cap {cap:?}, alpha {}",
+                    law.alpha()
+                );
+            }
         }
     }
 

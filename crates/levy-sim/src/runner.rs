@@ -12,11 +12,8 @@
 //! Determinism is preserved exactly as before: each trial `i` derives its
 //! RNG from `SeedStream::child(i)` and results are placed by trial index,
 //! so output is bit-identical regardless of thread count or scheduling.
-//! This composes with the batched phase engine in `levy-walks`: its block
-//! buffers live in thread-local arenas that are reused across every trial
-//! a worker runs (no per-trial allocation), and a trial's draws depend
-//! only on its own `child(i)` streams — never on which worker's arena it
-//! happened to run in.
+//! This composes with the phase engine in `levy-walks`: a trial's draws
+//! depend only on its own `child(i)` streams, never on which worker ran it.
 //!
 //! The previous contiguous-chunk scheduler is kept as [`chunked`] — it is
 //! the baseline that `BENCH_runner.json` compares against.

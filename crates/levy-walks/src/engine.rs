@@ -1,12 +1,13 @@
-//! The batched phase engine: one generic core behind every hitting-time
+//! The phase engine: one generic core behind every hitting-time
 //! simulation in this crate.
 //!
 //! Three optimizations live here, all exactly distribution-preserving:
 //!
-//! 1. **Block RNG draws.** Jump geometry (lengths and destination ring
-//!    indices) is prefetched in blocks through [`levy_rng::JumpBatch`] on a
-//!    monomorphized `SmallRng` — no `dyn Rng` in the hot loop, and the
-//!    per-draw tally overhead is amortized over a whole block.
+//! 1. **Monomorphized per-phase draws.** Jump geometry (a length and a
+//!    destination ring index per phase) comes from
+//!    [`levy_rng::ScalarPhases`] on a concrete `SmallRng` — no `dyn Rng` in
+//!    the hot loop — and its draw-path tallies flush in bulk once per trial
+//!    instead of once per draw.
 //! 2. **Corridor early-rejection.** A direct path "closely follows" the
 //!    real segment (Lemma 3.1): node `i` lies within L2 distance `1/√2` of
 //!    the segment point `w_i`. [`levy_grid::direct_path_can_visit`] decides
@@ -24,151 +25,29 @@
 //! it into two hierarchical streams ([`levy_rng::SeedStream`]): a *geometry*
 //! stream that feeds every jump-length and destination draw, and an
 //! *auxiliary* stream that feeds the data-dependent tie-break draws of
-//! [`levy_grid::direct_path_node_at`]. Because the geometry stream contains
-//! no data-dependent draws, prefetching it in blocks of any size consumes
-//! exactly the words per-phase sampling would ([`levy_rng::JumpBatch`]'s
-//! word-stream equivalence), and likewise skipping a tie-break draw on the
-//! auxiliary stream never shifts a geometry word. Consequence: seeded
-//! results are **byte-identical** with batching on or off (pinned by
-//! tests), and [`lockstep_parallel`] — which gives lane `j` the streams of
-//! `master.child(j)` — is independent of advancement order.
-//!
-//! Toggling: [`set_batch_enabled`] / [`batch_enabled`], or the `LEVY_BATCH`
-//! environment variable. The buffered path is **off by default**: with the
-//! sampler monomorphized and draw tallies already flushed in bulk per trial
-//! ([`levy_rng::ScalarPhases`]), measurement shows the prefetch buffer's
-//! memory traffic costs slightly more than it saves (~0.8–0.9× on the E1
-//! workload), so the buffer is kept as an opt-in — and as the proof, pinned
-//! by byte-identity tests, that the geometry stream really is
-//! prefetch-invariant.
-
-use std::cell::Cell;
-use std::sync::atomic::{AtomicU8, Ordering};
-use std::sync::OnceLock;
+//! [`levy_grid::direct_path_node_at`]. Skipping a tie-break draw on the
+//! auxiliary stream (corridor rejection) therefore never shifts a geometry
+//! word, and [`lockstep_parallel`] — which gives lane `j` the streams of
+//! `master.child(j)` — is independent of advancement order. Seeded results
+//! are pinned by literal-value tests.
 
 use levy_grid::{
     direct_path_can_enter_ball, direct_path_can_visit, direct_path_node_at, Point, Ring,
 };
-use levy_rng::{JumpBatch, JumpLengthDistribution, ScalarPhases, SeedStream};
+use levy_rng::{JumpLengthDistribution, ScalarPhases, SeedStream};
 use rand::rngs::SmallRng;
 use rand::Rng;
 
 use crate::observe::TrialObserver;
 
-/// Phases prefetched per block for single-walk trials.
-const BATCH_CAPACITY: usize = 256;
-
-/// Phases prefetched per block per lane in lockstep parallel trials (the
-/// arena holds one batch per lane, so the block is smaller).
-const LANE_BATCH_CAPACITY: usize = 64;
-
 /// Time-slice length (in lattice steps) of the lockstep scheduler.
 const SLICE: u64 = 512;
-
-/// Tri-state batching override: 0 = unset (use the `LEVY_BATCH` default),
-/// 1 = forced off, 2 = forced on.
-static BATCH_STATE: AtomicU8 = AtomicU8::new(0);
-
-fn default_batch_enabled() -> bool {
-    static DEFAULT: OnceLock<bool> = OnceLock::new();
-    *DEFAULT.get_or_init(|| match std::env::var("LEVY_BATCH") {
-        Ok(value) => !matches!(
-            value.trim().to_ascii_lowercase().as_str(),
-            "" | "0" | "false" | "off" | "no"
-        ),
-        Err(_) => false,
-    })
-}
-
-/// Forces block-prefetched jump geometry on or off for every subsequent
-/// trial, overriding the `LEVY_BATCH` environment default.
-///
-/// Seeded results are byte-identical either way (the two-stream discipline
-/// in the module docs); the toggle exists for benchmarking the buffer and
-/// for pinning that equivalence in tests.
-pub fn set_batch_enabled(enabled: bool) {
-    BATCH_STATE.store(if enabled { 2 } else { 1 }, Ordering::Relaxed);
-}
-
-/// Whether trials currently use block-prefetched jump geometry.
-///
-/// Defaults to `false` (see the module docs for the measurement behind
-/// that) unless the `LEVY_BATCH` environment variable is set to a truthy
-/// value; [`set_batch_enabled`] overrides both.
-pub fn batch_enabled() -> bool {
-    match BATCH_STATE.load(Ordering::Relaxed) {
-        1 => false,
-        2 => true,
-        _ => default_batch_enabled(),
-    }
-}
 
 /// Splits one word of the caller's RNG into the trial's geometry and
 /// auxiliary streams (see the module docs).
 fn trial_streams<R: Rng + ?Sized>(rng: &mut R) -> (SmallRng, SmallRng) {
     let stream = SeedStream::new(rng.gen::<u64>());
     (stream.child(0).rng(), stream.child(1).rng())
-}
-
-/// Source of per-phase jump geometry. Implementations must consume words
-/// from `geom` in the scalar per-phase order so that they are
-/// interchangeable on a fixed stream.
-trait PhaseDraw {
-    /// Returns the next phase's `(length, destination ring index)`.
-    ///
-    /// `remaining` bounds how many more phases this trial can consume
-    /// (each phase advances the clock by at least one step, so
-    /// `budget − t` is always valid); block implementations size their
-    /// refills by it so no prefetched draw is ever left unused at the end
-    /// of a budget-terminated trial.
-    fn next_phase(
-        &mut self,
-        law: &JumpLengthDistribution,
-        cap: Option<u64>,
-        geom: &mut SmallRng,
-        remaining: u64,
-    ) -> (u64, u64);
-}
-
-/// Per-phase sampling without a prefetch buffer; draw-path tallies flush
-/// in bulk once per trial ([`ScalarPhases`]).
-struct ScalarDraw(ScalarPhases);
-
-impl ScalarDraw {
-    fn new() -> Self {
-        ScalarDraw(ScalarPhases::new())
-    }
-}
-
-impl PhaseDraw for ScalarDraw {
-    #[inline]
-    fn next_phase(
-        &mut self,
-        law: &JumpLengthDistribution,
-        cap: Option<u64>,
-        geom: &mut SmallRng,
-        _remaining: u64,
-    ) -> (u64, u64) {
-        self.0.next_phase(law, cap, geom)
-    }
-}
-
-/// Block-prefetched sampling through a reusable [`JumpBatch`].
-struct BatchedDraw<'a> {
-    batch: &'a mut JumpBatch,
-}
-
-impl PhaseDraw for BatchedDraw<'_> {
-    #[inline]
-    fn next_phase(
-        &mut self,
-        law: &JumpLengthDistribution,
-        cap: Option<u64>,
-        geom: &mut SmallRng,
-        remaining: u64,
-    ) -> (u64, u64) {
-        self.batch.next_phase_bounded(law, cap, geom, remaining)
-    }
 }
 
 /// What a trial is searching for: membership plus an exact per-phase hit
@@ -280,27 +159,25 @@ impl Target for BallTarget {
 /// The generic phase loop shared by every single-walk hitting simulation.
 ///
 /// Every phase — including zero-length ones, which advance time by one
-/// step standing still — ends with an observer phase boundary, so batched
-/// and scalar runs emit identical event streams (pinned by tests).
-#[allow(clippy::too_many_arguments)] // private monomorphized core: callers spell out every knob
-fn run_phases<P: PhaseDraw, T: Target>(
+/// step standing still — ends with an observer phase boundary.
+fn run_phases<T: Target>(
     law: &JumpLengthDistribution,
     cap: Option<u64>,
     target: T,
     start: Point,
     budget: u64,
-    mut draw: P,
     geom: &mut SmallRng,
     aux: &mut SmallRng,
-    observer: &mut Option<TrialObserver>,
 ) -> Option<u64> {
+    let mut observer = TrialObserver::begin(law.alpha(), start);
+    let mut draw = ScalarPhases::new();
     let mut pos = start;
     let mut t: u64 = 0;
     while t < budget {
-        let (d, dir) = draw.next_phase(law, cap, geom, budget - t);
+        let (d, dir) = draw.next_phase(law, cap, geom);
         if d == 0 {
             t += 1;
-            if let Some(observer) = observer {
+            if let Some(observer) = &mut observer {
                 observer.on_phase_end(t, pos);
             }
             events::emit(events::Event::PhaseEnd(t, pos));
@@ -308,7 +185,7 @@ fn run_phases<P: PhaseDraw, T: Target>(
         }
         let v = Ring::new(pos, d).node_at(dir);
         if let Some(hit) = target.hit_in_phase(pos, v, d, t, budget, aux) {
-            if let Some(observer) = observer {
+            if let Some(observer) = &mut observer {
                 observer.on_hit(hit);
             }
             events::emit(events::Event::Hit(hit));
@@ -316,7 +193,7 @@ fn run_phases<P: PhaseDraw, T: Target>(
         }
         t = t.saturating_add(d);
         pos = v;
-        if let Some(observer) = observer {
+        if let Some(observer) = &mut observer {
             observer.on_phase_end(t, pos);
         }
         events::emit(events::Event::PhaseEnd(t, pos));
@@ -325,8 +202,7 @@ fn run_phases<P: PhaseDraw, T: Target>(
 }
 
 /// Runs one single-walk hitting trial: splits the caller's RNG into the
-/// trial's two streams, picks the batched or scalar geometry source, and
-/// drives [`run_phases`].
+/// trial's two streams and drives [`run_phases`].
 pub(crate) fn hitting_time_engine<R: Rng + ?Sized, T: Target>(
     law: &JumpLengthDistribution,
     cap: Option<u64>,
@@ -339,83 +215,14 @@ pub(crate) fn hitting_time_engine<R: Rng + ?Sized, T: Target>(
         return Some(0);
     }
     let (mut geom, mut aux) = trial_streams(rng);
-    let mut observer = TrialObserver::begin(law.alpha(), start);
-    if batch_enabled() {
-        with_walk_arena(|batch| {
-            batch.clear();
-            run_phases(
-                law,
-                cap,
-                target,
-                start,
-                budget,
-                BatchedDraw { batch },
-                &mut geom,
-                &mut aux,
-                &mut observer,
-            )
-        })
-    } else {
-        run_phases(
-            law,
-            cap,
-            target,
-            start,
-            budget,
-            ScalarDraw::new(),
-            &mut geom,
-            &mut aux,
-            &mut observer,
-        )
-    }
-}
-
-thread_local! {
-    /// Reusable single-walk batch buffer: one allocation per thread, not
-    /// per trial, across the millions of trials of a sweep.
-    static WALK_ARENA: Cell<Option<Box<JumpBatch>>> = const { Cell::new(None) };
-
-    /// Reusable per-lane batch buffers for lockstep parallel trials.
-    static LANE_ARENA: Cell<Option<Vec<JumpBatch>>> = const { Cell::new(None) };
-}
-
-/// Runs `f` with this thread's single-walk batch buffer, taking it out of
-/// the arena for the duration (re-entrant calls fall back to a fresh
-/// allocation rather than aliasing).
-fn with_walk_arena<T>(f: impl FnOnce(&mut JumpBatch) -> T) -> T {
-    let mut batch = WALK_ARENA
-        .try_with(|slot| slot.take())
-        .ok()
-        .flatten()
-        .unwrap_or_else(|| Box::new(JumpBatch::with_capacity(BATCH_CAPACITY)));
-    let out = f(&mut batch);
-    let _ = WALK_ARENA.try_with(|slot| slot.set(Some(batch)));
-    out
-}
-
-/// Runs `f` with `k` cleared per-lane batch buffers from this thread's
-/// arena, growing it on demand and returning it afterwards.
-fn with_lane_batches<T>(k: usize, f: impl FnOnce(&mut [JumpBatch]) -> T) -> T {
-    let mut batches = LANE_ARENA
-        .try_with(|slot| slot.take())
-        .ok()
-        .flatten()
-        .unwrap_or_default();
-    while batches.len() < k {
-        batches.push(JumpBatch::with_capacity(LANE_BATCH_CAPACITY));
-    }
-    for batch in batches.iter_mut().take(k) {
-        batch.clear();
-    }
-    let out = f(&mut batches[..k]);
-    let _ = LANE_ARENA.try_with(|slot| slot.set(Some(batches)));
-    out
+    run_phases(law, cap, target, start, budget, &mut geom, &mut aux)
 }
 
 /// State of one lane (one walk) of a lockstep parallel trial.
 struct Lane {
     geom: SmallRng,
     aux: SmallRng,
+    phases: ScalarPhases,
     pos: Point,
     t: u64,
     done: bool,
@@ -451,19 +258,14 @@ pub(crate) fn lockstep_parallel<R: Rng + ?Sized>(
         return Some((0, 0));
     }
     let master = SeedStream::new(rng.gen::<u64>());
-    let batched = batch_enabled();
     let point = PointTarget { target };
-    let mut scalars: Vec<ScalarDraw> = if batched {
-        Vec::new()
-    } else {
-        (0..k).map(|_| ScalarDraw::new()).collect()
-    };
     let mut lanes: Vec<Lane> = (0..k)
         .map(|j| {
             let stream = master.child(j as u64);
             Lane {
                 geom: stream.child(0).rng(),
                 aux: stream.child(1).rng(),
+                phases: ScalarPhases::new(),
                 pos: start,
                 t: 0,
                 done: false,
@@ -471,76 +273,64 @@ pub(crate) fn lockstep_parallel<R: Rng + ?Sized>(
             }
         })
         .collect();
-    with_lane_batches(k, |batches| {
-        let mut best: Option<(u64, usize)> = None;
-        let mut slice_end = SLICE.min(budget);
-        loop {
-            let mut all_done = true;
-            for (j, lane) in lanes.iter_mut().enumerate() {
-                if lane.done {
-                    continue;
+    let mut best: Option<(u64, usize)> = None;
+    let mut slice_end = SLICE.min(budget);
+    loop {
+        let mut all_done = true;
+        for (j, lane) in lanes.iter_mut().enumerate() {
+            if lane.done {
+                continue;
+            }
+            loop {
+                let cutoff = best.map_or(budget, |(bt, _)| bt.min(budget));
+                if lane.t >= cutoff {
+                    lane.done = true;
+                    break;
                 }
-                loop {
-                    let cutoff = best.map_or(budget, |(bt, _)| bt.min(budget));
-                    if lane.t >= cutoff {
-                        lane.done = true;
-                        break;
-                    }
-                    if lane.t >= slice_end {
-                        break;
-                    }
-                    let (d, dir) = if batched {
-                        batches[j].next_phase_bounded(
-                            laws[j],
-                            None,
-                            &mut lane.geom,
-                            cutoff - lane.t,
-                        )
-                    } else {
-                        scalars[j].next_phase(laws[j], None, &mut lane.geom, cutoff - lane.t)
-                    };
-                    if d == 0 {
-                        lane.t += 1;
-                        if let Some(observer) = &mut lane.observer {
-                            observer.on_phase_end(lane.t, lane.pos);
-                        }
-                        continue;
-                    }
-                    let v = Ring::new(lane.pos, d).node_at(dir);
-                    if let Some(hit) =
-                        point.hit_in_phase(lane.pos, v, d, lane.t, budget, &mut lane.aux)
-                    {
-                        if let Some(observer) = &lane.observer {
-                            observer.on_hit(hit);
-                        }
-                        if best.is_none_or(|(bt, bw)| hit < bt || (hit == bt && j < bw)) {
-                            best = Some((hit, j));
-                        }
-                        lane.done = true;
-                        break;
-                    }
-                    lane.t = lane.t.saturating_add(d);
-                    lane.pos = v;
+                if lane.t >= slice_end {
+                    break;
+                }
+                let (d, dir) = lane.phases.next_phase(laws[j], None, &mut lane.geom);
+                if d == 0 {
+                    lane.t += 1;
                     if let Some(observer) = &mut lane.observer {
                         observer.on_phase_end(lane.t, lane.pos);
                     }
+                    continue;
                 }
-                if !lane.done {
-                    all_done = false;
+                let v = Ring::new(lane.pos, d).node_at(dir);
+                if let Some(hit) = point.hit_in_phase(lane.pos, v, d, lane.t, budget, &mut lane.aux)
+                {
+                    if let Some(observer) = &lane.observer {
+                        observer.on_hit(hit);
+                    }
+                    if best.is_none_or(|(bt, bw)| hit < bt || (hit == bt && j < bw)) {
+                        best = Some((hit, j));
+                    }
+                    lane.done = true;
+                    break;
+                }
+                lane.t = lane.t.saturating_add(d);
+                lane.pos = v;
+                if let Some(observer) = &mut lane.observer {
+                    observer.on_phase_end(lane.t, lane.pos);
                 }
             }
-            if all_done {
-                break;
+            if !lane.done {
+                all_done = false;
             }
-            let cutoff = best.map_or(budget, |(bt, _)| bt.min(budget));
-            slice_end = slice_end.saturating_add(SLICE).min(cutoff);
         }
-        best
-    })
+        if all_done {
+            break;
+        }
+        let cutoff = best.map_or(budget, |(bt, _)| bt.min(budget));
+        slice_end = slice_end.saturating_add(SLICE).min(cutoff);
+    }
+    best
 }
 
 /// Test-only capture of the engine's observer-visible event stream, used
-/// to pin that batched and scalar runs report identical phase boundaries.
+/// to pin the phase boundaries a trial reports.
 #[cfg(test)]
 pub(crate) mod events {
     use std::cell::RefCell;
@@ -603,63 +393,8 @@ pub(crate) mod events {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::hitting::{
-        levy_walk_hitting_time, levy_walk_hitting_time_ball, levy_walk_hitting_time_capped,
-    };
+    use crate::hitting::levy_walk_hitting_time;
     use rand::SeedableRng;
-
-    fn capture_run(
-        batched: bool,
-        seed: u64,
-        trial: impl Fn(&mut SmallRng) -> Option<u64>,
-    ) -> (Option<u64>, Vec<events::Event>) {
-        set_batch_enabled(batched);
-        let mut rng = SmallRng::seed_from_u64(seed);
-        events::start();
-        let hit = trial(&mut rng);
-        (hit, events::take())
-    }
-
-    #[test]
-    fn batched_and_scalar_emit_identical_observer_event_streams() {
-        // The load-bearing engine invariant: toggling batching changes
-        // neither the result nor any observer-visible phase boundary.
-        let jumps = JumpLengthDistribution::new(2.3).unwrap();
-        for seed in 0..20 {
-            let point = |rng: &mut SmallRng| {
-                levy_walk_hitting_time(&jumps, Point::ORIGIN, Point::new(6, 2), 4_000, rng)
-            };
-            let capped = |rng: &mut SmallRng| {
-                levy_walk_hitting_time_capped(
-                    &jumps,
-                    40,
-                    Point::ORIGIN,
-                    Point::new(6, 2),
-                    4_000,
-                    rng,
-                )
-            };
-            let ball = |rng: &mut SmallRng| {
-                levy_walk_hitting_time_ball(&jumps, Point::ORIGIN, Point::new(12, 0), 2, 4_000, rng)
-            };
-            assert_eq!(
-                capture_run(false, seed, point),
-                capture_run(true, seed, point),
-                "point target, seed {seed}"
-            );
-            assert_eq!(
-                capture_run(false, seed, capped),
-                capture_run(true, seed, capped),
-                "capped target, seed {seed}"
-            );
-            assert_eq!(
-                capture_run(false, seed, ball),
-                capture_run(true, seed, ball),
-                "ball target, seed {seed}"
-            );
-        }
-        set_batch_enabled(false);
-    }
 
     #[test]
     fn zero_length_phases_report_phase_boundaries() {
@@ -696,14 +431,13 @@ mod tests {
     }
 
     #[test]
-    fn lockstep_is_deterministic_and_batch_invariant() {
+    fn lockstep_is_deterministic() {
         let laws_owned: Vec<JumpLengthDistribution> = [2.1, 2.5, 2.9, 3.2]
             .iter()
             .map(|&alpha| JumpLengthDistribution::new(alpha).unwrap())
             .collect();
         let laws: Vec<&JumpLengthDistribution> = laws_owned.iter().collect();
-        let run = |batched: bool, seed: u64| {
-            set_batch_enabled(batched);
+        let run = |seed: u64| {
             let mut rng = SmallRng::seed_from_u64(seed);
             (0..50)
                 .map(|_| {
@@ -712,11 +446,8 @@ mod tests {
                 .collect::<Vec<_>>()
         };
         for seed in [1u64, 2, 3] {
-            let scalar = run(false, seed);
-            assert_eq!(scalar, run(false, seed), "repeat determinism, seed {seed}");
-            assert_eq!(scalar, run(true, seed), "batch invariance, seed {seed}");
+            assert_eq!(run(seed), run(seed), "repeat determinism, seed {seed}");
         }
-        set_batch_enabled(false);
     }
 
     #[test]

@@ -30,6 +30,7 @@ use rand::SeedableRng;
 use parallel_levy_walks::cli::Options;
 
 fn cmd_walk(opts: &Options) -> Result<(), String> {
+    opts.accept_only(&["alpha", "steps", "seed"])?;
     let alpha: f64 = opts.get("alpha", 2.5)?;
     let steps: u64 = opts.get("steps", 10_000)?;
     let seed: u64 = opts.get("seed", 0)?;
@@ -53,6 +54,7 @@ fn cmd_walk(opts: &Options) -> Result<(), String> {
 }
 
 fn cmd_hit(opts: &Options) -> Result<(), String> {
+    opts.accept_only(&["alpha", "ell", "budget", "trials", "seed"])?;
     let alpha: f64 = opts.get("alpha", 2.5)?;
     let ell: u64 = opts.get("ell", 64)?;
     let budget: u64 = opts.get("budget", 100_000)?;
@@ -107,6 +109,7 @@ fn build_strategy(spec: &str) -> Result<Box<dyn SearchStrategy + Sync>, String> 
 }
 
 fn cmd_search(opts: &Options) -> Result<(), String> {
+    opts.accept_only(&["k", "ell", "budget", "trials", "seed", "strategy"])?;
     let k: usize = opts.get("k", 32)?;
     let ell: u64 = opts.get("ell", 64)?;
     let budget: u64 = opts.get("budget", 100_000)?;
@@ -132,6 +135,7 @@ fn cmd_search(opts: &Options) -> Result<(), String> {
 }
 
 fn cmd_sweep(opts: &Options) -> Result<(), String> {
+    opts.accept_only(&["k", "ell", "trials", "seed", "budget"])?;
     let k: usize = opts.get("k", 16)?;
     let ell: u64 = opts.get("ell", 128)?;
     let trials: u64 = opts.get("trials", 200)?;
@@ -157,6 +161,7 @@ fn cmd_sweep(opts: &Options) -> Result<(), String> {
 }
 
 fn cmd_ring(opts: &Options) -> Result<(), String> {
+    opts.accept_only(&["members", "vnodes", "key", "keys"])?;
     let members_spec = opts.get_str("members", "");
     let members: Vec<String> = members_spec
         .split(',')

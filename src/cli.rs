@@ -58,6 +58,28 @@ impl Options {
     pub fn contains(&self, key: &str) -> bool {
         self.0.contains_key(key)
     }
+
+    /// Rejects every supplied key outside `accepted`, so a typo'd flag is
+    /// an error instead of silently leaving its option at the default.
+    ///
+    /// # Errors
+    ///
+    /// Returns a message naming the unknown flag (the first in sorted
+    /// order) and the accepted ones.
+    pub fn accept_only(&self, accepted: &[&str]) -> Result<(), String> {
+        let unknown = self
+            .0
+            .keys()
+            .filter(|key| !accepted.contains(&key.as_str()));
+        let Some(key) = unknown.min() else {
+            return Ok(());
+        };
+        let accepted: Vec<String> = accepted.iter().map(|k| format!("--{k}")).collect();
+        Err(format!(
+            "unknown option --{key} (accepted: {})",
+            accepted.join(", ")
+        ))
+    }
 }
 
 #[cfg(test)]
@@ -101,6 +123,23 @@ mod tests {
         let opts = Options::parse(&args(&["--k", "many"])).unwrap();
         let err = opts.get("k", 1usize).unwrap_err();
         assert!(err.contains("invalid value"));
+    }
+
+    #[test]
+    fn rejects_unknown_keys() {
+        let opts = Options::parse(&args(&["--alpah", "2.5", "--seed", "1"])).unwrap();
+        let err = opts.accept_only(&["alpha", "seed"]).unwrap_err();
+        assert!(err.contains("unknown option --alpah"), "{err}");
+        assert!(err.contains("accepted: --alpha, --seed"), "{err}");
+    }
+
+    #[test]
+    fn known_keys_still_parse() {
+        let opts = Options::parse(&args(&["--alpha", "2.5", "--seed", "1"])).unwrap();
+        assert_eq!(opts.accept_only(&["alpha", "steps", "seed"]), Ok(()));
+        assert_eq!(opts.get("alpha", 0.0), Ok(2.5));
+        assert_eq!(opts.get("steps", 7u64), Ok(7));
+        assert_eq!(Options::default().accept_only(&[]), Ok(()));
     }
 
     #[test]
