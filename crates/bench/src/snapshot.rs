@@ -16,10 +16,9 @@
 //! schedules for an 8-worker machine: wall-clock times each trial once,
 //! then computes each schedule's makespan deterministically. This keeps
 //! the snapshot honest on throttled single-core CI hosts, where spawning
-//! 8 real threads would measure the container, not the scheduler; the
-//! schedules replayed are exactly the ones `levy_sim::run_trials`
-//! (shrinking stolen blocks) and `levy_sim::chunked::run_trials` (one
-//! contiguous chunk per worker) execute.
+//! 8 real threads would measure the container, not the scheduler. The
+//! stealing replay follows `levy_sim::run_trials` (shrinking stolen
+//! blocks); the chunked replay models one contiguous chunk per worker.
 //!
 //! Workload sizes come from a [`Profile`]:
 //!
@@ -35,7 +34,7 @@ use std::time::Instant;
 
 use levy_grid::Point;
 use levy_rng::{JumpLengthDistribution, SeedStream};
-use levy_sim::{chunked, run_trials, Json};
+use levy_sim::{run_trials, Json};
 use levy_walks::{
     levy_walk_hitting_time, levy_walk_hitting_time_exact, parallel_hitting_time_common,
 };
@@ -274,32 +273,24 @@ pub fn runner_snapshot(profile: &Profile) -> Json {
     let tp_trials = batched_hits.len() as u64;
     let batch_speedup = scalar_secs / batched_secs.max(1e-12);
 
-    // Determinism: identical results for 1/3/16 threads and for the seed
-    // chunked scheduler (timing differs; bits must not).
-    let run_with = |threads: usize| {
-        run_trials(trials, seeds, threads, |i, rng| {
-            let ell = trial_ell(i);
-            levy_walk_hitting_time(
-                &jumps,
-                Point::ORIGIN,
-                Point::new(ell as i64, 0),
-                budget(ell),
-                rng,
-            )
-        })
+    // Determinism: identical results for 1/3/16 threads and for an
+    // independent sequential reference (timing differs; bits must not).
+    let trial = |i: u64, rng: &mut SmallRng| {
+        let ell = trial_ell(i);
+        levy_walk_hitting_time(
+            &jumps,
+            Point::ORIGIN,
+            Point::new(ell as i64, 0),
+            budget(ell),
+            rng,
+        )
     };
-    let r1 = run_with(1);
-    let deterministic = [3usize, 16].into_iter().all(|t| run_with(t) == r1)
-        && chunked::run_trials(trials, seeds, THREADS, |i, rng| {
-            let ell = trial_ell(i);
-            levy_walk_hitting_time(
-                &jumps,
-                Point::ORIGIN,
-                Point::new(ell as i64, 0),
-                budget(ell),
-                rng,
-            )
-        }) == r1;
+    let sequential: Vec<_> = (0..trials)
+        .map(|i| trial(i, &mut seeds.child(i).rng()))
+        .collect();
+    let deterministic = [1usize, 3, 16]
+        .into_iter()
+        .all(|t| run_trials(trials, seeds, t, trial) == sequential);
 
     // Schedule replay on the measured costs.
     let chunked_span = chunked_makespan(&costs, THREADS);
@@ -311,7 +302,7 @@ pub fn runner_snapshot(profile: &Profile) -> Json {
     println!(
         "runner: chunked makespan {chunked_span:.4}s vs stealing {stealing_span:.4}s on {THREADS} modeled workers -> {speedup:.2}x"
     );
-    println!("runner: deterministic across threads/schedulers = {deterministic}");
+    println!("runner: deterministic across threads and vs sequential = {deterministic}");
     println!(
         "runner: trial throughput scalar {:.0}/s vs batched {:.0}/s over {tp_trials} trials -> {batch_speedup:.2}x",
         tp_trials as f64 / scalar_secs.max(1e-12),
@@ -332,7 +323,7 @@ pub fn runner_snapshot(profile: &Profile) -> Json {
         ])),
         ("modeled_workers", Json::from(THREADS as u64)),
         ("method", Json::from(
-            "per-trial wall-clock costs replayed through both schedules (container is single-core; schedules are exactly those of levy_sim::run_trials and levy_sim::chunked::run_trials)",
+            "per-trial wall-clock costs replayed through both schedules (container is single-core; the stealing schedule is that of levy_sim::run_trials, the chunked one a modeled contiguous chunk per worker)",
         )),
         ("single_walk", Json::obj([
             ("trials", Json::from(trials)),

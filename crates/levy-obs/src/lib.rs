@@ -19,7 +19,7 @@
 //!   `traceparent`-style propagation, and seq-numbered JSONL events behind
 //!   the `LEVY_TRACE` env var.
 //! - [`traces`]: a [`TraceStore`] collecting finished span trees into a
-//!   bounded ring with tail-sampling (errors and slowest-N protected).
+//!   bounded ring with tail-sampling (5xx/408 roots and slowest-N protected).
 //! - [`sketch`]: the [`P2Quantile`] streaming quantile estimator.
 //! - [`observe`]: the `LEVY_OBSERVE` master switch for walk-level
 //!   observers ([`observers_enabled`]).

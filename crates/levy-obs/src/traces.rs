@@ -11,8 +11,11 @@
 //!
 //! **Tail-sampling policy.** The ring has a fixed capacity; when full, the
 //! oldest *unprotected* trace is evicted. A trace is protected when its
-//! root status is an error (>= 400, which covers 504 timeouts) or when its
-//! duration is among the slowest `slow_protect` traces currently retained.
+//! root status is a server-side failure (>= 500, which covers 504
+//! timeouts) or a 408 request timeout, or when its duration is among the
+//! slowest `slow_protect` traces currently retained. Other 4xx roots are
+//! expected answers — a cluster peek miss is a 404 — and churn like 200s,
+//! so a burst of them never pins the ring.
 //! If every retained trace is protected, the oldest is evicted anyway so
 //! the ring stays bounded.
 //!
@@ -287,6 +290,12 @@ impl TraceStore {
     }
 }
 
+/// Whether a root status protects its trace from eviction: server-side
+/// failures and request timeouts, not expected 4xx answers.
+fn is_protected_status(status: u16) -> bool {
+    status >= 500 || status == 408
+}
+
 /// Evicts the oldest unprotected trace; oldest overall if all protected.
 fn evict_one(finished: &mut Vec<FinishedTrace>, slow_protect: usize) {
     let slow_threshold = if slow_protect == 0 || finished.is_empty() {
@@ -298,7 +307,7 @@ fn evict_one(finished: &mut Vec<FinishedTrace>, slow_protect: usize) {
     };
     let victim = finished
         .iter()
-        .position(|t| t.status < 400 && t.dur_us < slow_threshold)
+        .position(|t| !is_protected_status(t.status) && t.dur_us < slow_threshold)
         .unwrap_or(0);
     finished.remove(victim);
 }
@@ -484,6 +493,29 @@ mod tests {
                 == 2,
             "fast traces churn through the remaining slots"
         );
+    }
+
+    #[test]
+    fn expected_4xx_roots_do_not_pin_the_ring() {
+        let store = TraceStore::with_slow_protect(4, 0);
+        let finish = |status: u16| {
+            let t = store.start_root("request", None);
+            t.set_status(status);
+            let id = t.ctx().trace_id;
+            t.finish();
+            id
+        };
+        let timeout = finish(504);
+        for _ in 0..6 {
+            finish(404);
+        }
+        let ok = finish(200);
+        finish(404);
+        assert_eq!(store.finished_len(), 4, "capacity respected");
+        assert!(store.get(ok).is_some(), "newest 200 survives a 404 burst");
+        assert!(store.get(timeout).is_some(), "504 trace survives");
+        assert!(is_protected_status(408) && is_protected_status(500));
+        assert!(!is_protected_status(404) && !is_protected_status(429));
     }
 
     #[test]

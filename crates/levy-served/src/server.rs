@@ -74,8 +74,9 @@ pub struct ServerConfig {
     /// Suppress structured request logs (tests, benchmarks).
     pub quiet: bool,
     /// Finished traces retained by the tail-sampling ring served at
-    /// `GET /v1/traces` (errors and the slowest traces are protected
-    /// from eviction; see `levy_obs::TraceStore`).
+    /// `GET /v1/traces` (5xx and 408 roots and the slowest traces are
+    /// protected from eviction, other 4xx roots are not; see
+    /// `levy_obs::TraceStore`).
     pub trace_capacity: usize,
     /// Registry snapshots retained by the `GET /metrics/history` ring.
     pub history_capacity: usize,

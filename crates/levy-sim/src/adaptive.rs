@@ -10,7 +10,7 @@ use levy_analysis::wilson_interval;
 use levy_rng::SeedStream;
 use rand::rngs::SmallRng;
 
-use crate::runner::{count_trials_offset_cancellable, CancelToken};
+use crate::runner::{count_hits, CancelToken};
 
 /// Stopping rule for [`estimate_probability`].
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -60,7 +60,7 @@ pub struct AdaptiveEstimate {
 }
 
 /// One completed batch of an adaptive estimation, as reported to the
-/// observer of [`estimate_probability_observed`].
+/// observer of [`estimate_probability`].
 ///
 /// Carries the running totals *after* the batch, so a streaming consumer
 /// can render `estimate ± half-width (trials)` lines as the interval
@@ -85,42 +85,15 @@ pub struct BatchProgress {
 /// Batches double from 256 trials; each trial `i` uses the deterministic
 /// stream `seeds.child(i)`, so the estimate is reproducible and extending
 /// a run reuses no randomness.
-pub fn estimate_probability<F>(
-    seeds: SeedStream,
-    threads: usize,
-    precision: Precision,
-    predicate: F,
-) -> AdaptiveEstimate
-where
-    F: Fn(u64, &mut SmallRng) -> bool + Sync,
-{
-    estimate_probability_cancellable(seeds, threads, precision, &CancelToken::new(), predicate)
-        .expect("uncancelled estimate completes")
-}
-
-/// [`estimate_probability`] with a cooperative [`CancelToken`]: returns
-/// `None` if `cancel` fires before the stopping rule is satisfied. The
-/// token is polled between trial blocks inside each batch, so abandoned
-/// estimates stop within one block of simulation work.
-pub fn estimate_probability_cancellable<F>(
-    seeds: SeedStream,
-    threads: usize,
-    precision: Precision,
-    cancel: &CancelToken,
-    predicate: F,
-) -> Option<AdaptiveEstimate>
-where
-    F: Fn(u64, &mut SmallRng) -> bool + Sync,
-{
-    estimate_probability_observed(seeds, threads, precision, cancel, &mut |_| {}, predicate)
-}
-
-/// [`estimate_probability_cancellable`] with a per-batch observer: after
-/// each batch completes, `observer` receives the running totals as a
+///
+/// Returns `None` if `cancel` fires before the stopping rule is
+/// satisfied; the token is polled between trial blocks inside each batch,
+/// so abandoned estimates stop within one block of simulation work. After
+/// each batch, `observer` receives the running totals as a
 /// [`BatchProgress`]. The observer never touches the RNG streams or the
 /// stopping rule, so the estimate is bit-identical whether or not anyone
 /// is watching — the invariant the streaming byte-identity tests pin.
-pub fn estimate_probability_observed<F>(
+pub fn estimate_probability<F>(
     seeds: SeedStream,
     threads: usize,
     precision: Precision,
@@ -144,9 +117,7 @@ where
         // streams: the offset-aware counter derives `seeds.child(global)`
         // directly, so the estimate matches a single non-adaptive run and
         // no per-trial Vec<bool> is ever materialized.
-        let hits = count_trials_offset_cancellable(
-            batch_size, trials, seeds, threads, cancel, &predicate,
-        )?;
+        let hits = count_hits(batch_size, trials, seeds, threads, cancel, &predicate)?;
         trials += batch_size;
         successes += hits;
         batches += 1;
@@ -193,10 +164,28 @@ mod tests {
     use super::*;
     use rand::Rng;
 
+    /// An uncancelled, unobserved estimate.
+    fn estimate(
+        seed: u64,
+        threads: usize,
+        precision: Precision,
+        predicate: impl Fn(u64, &mut SmallRng) -> bool + Sync,
+    ) -> AdaptiveEstimate {
+        estimate_probability(
+            SeedStream::new(seed),
+            threads,
+            precision,
+            &CancelToken::new(),
+            &mut |_| {},
+            predicate,
+        )
+        .expect("uncancelled estimate completes")
+    }
+
     #[test]
     fn converges_quickly_for_moderate_probabilities() {
-        let est = estimate_probability(
-            SeedStream::new(1),
+        let est = estimate(
+            1,
             2,
             Precision {
                 absolute: 0.02,
@@ -212,8 +201,8 @@ mod tests {
 
     #[test]
     fn spends_more_trials_on_rare_events() {
-        let rare = estimate_probability(
-            SeedStream::new(2),
+        let rare = estimate(
+            2,
             2,
             Precision {
                 absolute: 1e-4,
@@ -222,8 +211,8 @@ mod tests {
             },
             |_i, rng| rng.gen::<f64>() < 0.002,
         );
-        let common = estimate_probability(
-            SeedStream::new(2),
+        let common = estimate(
+            2,
             2,
             Precision {
                 absolute: 1e-4,
@@ -242,8 +231,8 @@ mod tests {
 
     #[test]
     fn trial_cap_is_respected_and_reported() {
-        let est = estimate_probability(
-            SeedStream::new(3),
+        let est = estimate(
+            3,
             1,
             Precision {
                 absolute: 1e-9,
@@ -259,12 +248,9 @@ mod tests {
     #[test]
     fn deterministic_given_seed() {
         let run = || {
-            estimate_probability(
-                SeedStream::new(4),
-                3,
-                Precision::default_with_cap(10_000),
-                |_i, rng| rng.gen::<f64>() < 0.2,
-            )
+            estimate(4, 3, Precision::default_with_cap(10_000), |_i, rng| {
+                rng.gen::<f64>() < 0.2
+            })
         };
         assert_eq!(run(), run());
     }
@@ -273,8 +259,8 @@ mod tests {
     fn batches_report_the_doubling_schedule() {
         // 1_000 = 256 + 512 + 232(capped) under a never-met precision:
         // exactly 3 batches, and trials(_used) accounts for every trial.
-        let est = estimate_probability(
-            SeedStream::new(3),
+        let est = estimate(
+            3,
             1,
             Precision {
                 absolute: 1e-9,
@@ -286,8 +272,8 @@ mod tests {
         assert_eq!(est.batches, 3);
         assert_eq!(est.trials, 1_000);
         // A quickly-converging estimate stops after the first batch.
-        let quick = estimate_probability(
-            SeedStream::new(3),
+        let quick = estimate(
+            3,
             1,
             Precision {
                 absolute: 0.5,
@@ -304,31 +290,15 @@ mod tests {
     fn cancellation_aborts_the_estimate() {
         let token = CancelToken::new();
         token.cancel();
-        let est = estimate_probability_cancellable(
+        let est = estimate_probability(
             SeedStream::new(6),
             2,
             Precision::default_with_cap(100_000),
             &token,
+            &mut |_| {},
             |_i, rng| rng.gen::<f64>() < 0.5,
         );
         assert!(est.is_none());
-    }
-
-    #[test]
-    fn cancellable_matches_plain_when_never_cancelled() {
-        let precision = Precision::default_with_cap(10_000);
-        let plain = estimate_probability(SeedStream::new(7), 2, precision, |_i, rng| {
-            rng.gen::<f64>() < 0.2
-        });
-        let tokened = estimate_probability_cancellable(
-            SeedStream::new(7),
-            2,
-            precision,
-            &CancelToken::new(),
-            |_i, rng| rng.gen::<f64>() < 0.2,
-        )
-        .unwrap();
-        assert_eq!(plain, tokened);
     }
 
     #[test]
@@ -339,7 +309,7 @@ mod tests {
             max_trials: 1_000,
         };
         let mut seen: Vec<BatchProgress> = Vec::new();
-        let observed = estimate_probability_observed(
+        let observed = estimate_probability(
             SeedStream::new(3),
             1,
             precision,
@@ -348,9 +318,7 @@ mod tests {
             |_i, rng| rng.gen::<f64>() < 0.5,
         )
         .unwrap();
-        let plain = estimate_probability(SeedStream::new(3), 1, precision, |_i, rng| {
-            rng.gen::<f64>() < 0.5
-        });
+        let plain = estimate(3, 1, precision, |_i, rng| rng.gen::<f64>() < 0.5);
         assert_eq!(observed, plain, "observation must not perturb the estimate");
         assert_eq!(seen.len() as u64, observed.batches);
         assert_eq!(
@@ -372,8 +340,8 @@ mod tests {
 
     #[test]
     fn zero_probability_event_hits_cap() {
-        let est = estimate_probability(
-            SeedStream::new(5),
+        let est = estimate(
+            5,
             1,
             Precision {
                 absolute: 1e-6,

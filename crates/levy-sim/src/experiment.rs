@@ -69,18 +69,49 @@ impl MeasurementConfig {
             placement: TargetPlacement::RandomDirection,
         }
     }
+}
 
-    fn effective_threads(&self) -> usize {
-        if self.threads == 0 {
-            crate::runner::default_threads()
-        } else {
-            self.threads
-        }
-    }
+/// Runs `config.trials` seeded trials of one hitting-time question and
+/// summarizes them, or returns `None` if `cancel` fires first.
+///
+/// Each trial places its target per `config.placement`, then
+/// `trial(target, rng)` returns the hitting time, `None` when censored at
+/// `config.budget`. Outcomes are recorded under the exponent label
+/// `alpha` (see [`crate::obs::record_trial_outcomes_for`]). Every
+/// `measure_*` function is this with one trial closure.
+pub fn measure_trials<F>(
+    config: &MeasurementConfig,
+    alpha: Option<f64>,
+    cancel: &CancelToken,
+    trial: F,
+) -> Option<CensoredSummary>
+where
+    F: Fn(Point, &mut SmallRng) -> Option<u64> + Sync,
+{
+    let (ell, placement) = (config.ell, config.placement);
+    let outcomes = run_trials_cancellable(
+        config.trials,
+        SeedStream::new(config.seed),
+        config.threads,
+        cancel,
+        |_i, rng| trial(placement.place(ell, rng), rng),
+    )?;
+    crate::obs::record_trial_outcomes_for(alpha, &outcomes);
+    Some(CensoredSummary::from_outcomes(&outcomes, config.budget))
+}
 
-    fn seeds(&self) -> SeedStream {
-        SeedStream::new(self.seed)
-    }
+/// [`measure_trials`] without a cancel token.
+fn measure<F>(config: &MeasurementConfig, alpha: Option<f64>, trial: F) -> CensoredSummary
+where
+    F: Fn(Point, &mut SmallRng) -> Option<u64> + Sync,
+{
+    measure_trials(config, alpha, &CancelToken::new(), trial)
+        .expect("uncancelled measurement completes")
+}
+
+/// The tabled jump law of `alpha`; panics outside `(1, ∞)`.
+fn jumps(alpha: f64) -> JumpLengthDistribution {
+    JumpLengthDistribution::new(alpha).expect("valid exponent")
 }
 
 /// Estimates the hitting-time distribution of a **single** Lévy walk with
@@ -90,61 +121,20 @@ impl MeasurementConfig {
 ///
 /// Panics if `alpha` is outside `(1, ∞)`.
 pub fn measure_single_walk(alpha: f64, config: &MeasurementConfig) -> CensoredSummary {
-    measure_single_walk_cancellable(alpha, config, &CancelToken::new())
-        .expect("uncancelled measurement completes")
-}
-
-/// [`measure_single_walk`] with a cooperative [`CancelToken`]; `None` when
-/// cancelled before all trials complete.
-pub fn measure_single_walk_cancellable(
-    alpha: f64,
-    config: &MeasurementConfig,
-    cancel: &CancelToken,
-) -> Option<CensoredSummary> {
-    let jumps = JumpLengthDistribution::new(alpha).expect("valid exponent");
-    let (ell, budget, placement) = (config.ell, config.budget, config.placement);
-    let outcomes = run_trials_cancellable(
-        config.trials,
-        config.seeds(),
-        config.effective_threads(),
-        cancel,
-        move |_i, rng: &mut SmallRng| {
-            let target = placement.place(ell, rng);
-            levy_walk_hitting_time(&jumps, Point::ORIGIN, target, budget, rng)
-        },
-    )?;
-    crate::obs::record_trial_outcomes_for(Some(alpha), &outcomes);
-    Some(CensoredSummary::from_outcomes(&outcomes, budget))
+    let jumps = jumps(alpha);
+    measure(config, Some(alpha), |target, rng| {
+        levy_walk_hitting_time(&jumps, Point::ORIGIN, target, config.budget, rng)
+    })
 }
 
 /// Estimates the hitting-jump distribution of a single Lévy **flight**
 /// (intermittent detection; the flight-vs-walk ablation). The budget is in
 /// *jumps*.
 pub fn measure_single_flight(alpha: f64, config: &MeasurementConfig) -> CensoredSummary {
-    measure_single_flight_cancellable(alpha, config, &CancelToken::new())
-        .expect("uncancelled measurement completes")
-}
-
-/// [`measure_single_flight`] with a cooperative [`CancelToken`].
-pub fn measure_single_flight_cancellable(
-    alpha: f64,
-    config: &MeasurementConfig,
-    cancel: &CancelToken,
-) -> Option<CensoredSummary> {
-    let jumps = JumpLengthDistribution::new(alpha).expect("valid exponent");
-    let (ell, budget, placement) = (config.ell, config.budget, config.placement);
-    let outcomes = run_trials_cancellable(
-        config.trials,
-        config.seeds(),
-        config.effective_threads(),
-        cancel,
-        move |_i, rng: &mut SmallRng| {
-            let target = placement.place(ell, rng);
-            levy_flight_hitting_time(&jumps, Point::ORIGIN, target, budget, rng)
-        },
-    )?;
-    crate::obs::record_trial_outcomes_for(Some(alpha), &outcomes);
-    Some(CensoredSummary::from_outcomes(&outcomes, budget))
+    let jumps = jumps(alpha);
+    measure(config, Some(alpha), |target, rng| {
+        levy_flight_hitting_time(&jumps, Point::ORIGIN, target, config.budget, rng)
+    })
 }
 
 /// Estimates the **parallel** hitting time of `k` walks sharing a common
@@ -154,31 +144,10 @@ pub fn measure_parallel_common(
     k: usize,
     config: &MeasurementConfig,
 ) -> CensoredSummary {
-    measure_parallel_common_cancellable(alpha, k, config, &CancelToken::new())
-        .expect("uncancelled measurement completes")
-}
-
-/// [`measure_parallel_common`] with a cooperative [`CancelToken`].
-pub fn measure_parallel_common_cancellable(
-    alpha: f64,
-    k: usize,
-    config: &MeasurementConfig,
-    cancel: &CancelToken,
-) -> Option<CensoredSummary> {
-    let jumps = JumpLengthDistribution::new(alpha).expect("valid exponent");
-    let (ell, budget, placement) = (config.ell, config.budget, config.placement);
-    let outcomes = run_trials_cancellable(
-        config.trials,
-        config.seeds(),
-        config.effective_threads(),
-        cancel,
-        move |_i, rng: &mut SmallRng| {
-            let target = placement.place(ell, rng);
-            parallel_hitting_time_common(k, &jumps, Point::ORIGIN, target, budget, rng)
-        },
-    )?;
-    crate::obs::record_trial_outcomes_for(Some(alpha), &outcomes);
-    Some(CensoredSummary::from_outcomes(&outcomes, budget))
+    let jumps = jumps(alpha);
+    measure(config, Some(alpha), |target, rng| {
+        parallel_hitting_time_common(k, &jumps, Point::ORIGIN, target, config.budget, rng)
+    })
 }
 
 /// Estimates the parallel hitting time of `k` walks with exponents drawn
@@ -189,30 +158,9 @@ pub fn measure_parallel_strategy(
     k: usize,
     config: &MeasurementConfig,
 ) -> CensoredSummary {
-    measure_parallel_strategy_cancellable(strategy, k, config, &CancelToken::new())
-        .expect("uncancelled measurement completes")
-}
-
-/// [`measure_parallel_strategy`] with a cooperative [`CancelToken`].
-pub fn measure_parallel_strategy_cancellable(
-    strategy: ExponentStrategy,
-    k: usize,
-    config: &MeasurementConfig,
-    cancel: &CancelToken,
-) -> Option<CensoredSummary> {
-    let (ell, budget, placement) = (config.ell, config.budget, config.placement);
-    let outcomes = run_trials_cancellable(
-        config.trials,
-        config.seeds(),
-        config.effective_threads(),
-        cancel,
-        move |_i, rng: &mut SmallRng| {
-            let target = placement.place(ell, rng);
-            parallel_hitting_time(k, &strategy, Point::ORIGIN, target, budget, rng).time
-        },
-    )?;
-    crate::obs::record_trial_outcomes(&outcomes);
-    Some(CensoredSummary::from_outcomes(&outcomes, budget))
+    measure(config, None, |target, rng| {
+        parallel_hitting_time(k, &strategy, Point::ORIGIN, target, config.budget, rng).time
+    })
 }
 
 /// Estimates the parallel search time of an arbitrary [`SearchStrategy`]
@@ -225,34 +173,15 @@ pub fn measure_search_strategy<S>(
 where
     S: SearchStrategy + Sync + ?Sized,
 {
-    measure_search_strategy_cancellable(strategy, k, config, &CancelToken::new())
-        .expect("uncancelled measurement completes")
-}
-
-/// [`measure_search_strategy`] with a cooperative [`CancelToken`].
-pub fn measure_search_strategy_cancellable<S>(
-    strategy: &S,
-    k: usize,
-    config: &MeasurementConfig,
-    cancel: &CancelToken,
-) -> Option<CensoredSummary>
-where
-    S: SearchStrategy + Sync + ?Sized,
-{
-    let (ell, budget, placement) = (config.ell, config.budget, config.placement);
-    let outcomes = run_trials_cancellable(
-        config.trials,
-        config.seeds(),
-        config.effective_threads(),
-        cancel,
-        move |_i, rng: &mut SmallRng| {
-            let mut problem = SearchProblem::at_distance(ell, k, budget);
-            problem.target = placement.place(ell, rng);
-            strategy.run(&problem, rng)
-        },
-    )?;
-    crate::obs::record_trial_outcomes(&outcomes);
-    Some(CensoredSummary::from_outcomes(&outcomes, budget))
+    measure(config, None, |target, rng| {
+        let problem = SearchProblem {
+            source: Point::ORIGIN,
+            target,
+            num_agents: k,
+            budget: config.budget,
+        };
+        strategy.run(&problem, rng)
+    })
 }
 
 #[cfg(test)]

@@ -1,11 +1,16 @@
 //! Experiment engine for the reproduction of *Search via Parallel Lévy
 //! Walks on Z²* (PODC 2021).
 //!
-//! * [`run_trials`] — deterministic multi-threaded trial execution
-//!   (bit-identical results regardless of thread count);
-//! * [`measure_single_walk`] / [`measure_parallel_common`] /
-//!   [`measure_parallel_strategy`] / [`measure_search_strategy`] — the
-//!   hitting-time measurements behind every experiment (E1–E10);
+//! * [`run_trials`] — deterministic work-stealing trial execution
+//!   (bit-identical results regardless of thread count; one worker loop
+//!   serves every run, inline on the caller's thread when single-threaded);
+//! * [`measure_trials`] — N seeded trials of one hitting-time closure,
+//!   reduced to a [`CensoredSummary`](levy_analysis::CensoredSummary) and
+//!   cancellable; [`measure_single_walk`] / [`measure_parallel_common`] /
+//!   [`measure_parallel_strategy`] / [`measure_search_strategy`] wrap it
+//!   for every experiment (E1–E10);
+//! * [`estimate_probability`] — the same trials reduced to a
+//!   Wilson-stopped probability;
 //! * [`TextTable`] / [`write_json`] — paper-style tables and persisted
 //!   results;
 //! * sweep helpers ([`linspace`], [`geomspace`], ...).
@@ -34,22 +39,14 @@ mod report;
 mod runner;
 mod sweep;
 
-pub use adaptive::{
-    estimate_probability, estimate_probability_cancellable, estimate_probability_observed,
-    AdaptiveEstimate, BatchProgress, Precision,
-};
+pub use adaptive::{estimate_probability, AdaptiveEstimate, BatchProgress, Precision};
 pub use experiment::{
-    measure_parallel_common, measure_parallel_common_cancellable, measure_parallel_strategy,
-    measure_parallel_strategy_cancellable, measure_search_strategy,
-    measure_search_strategy_cancellable, measure_single_flight, measure_single_flight_cancellable,
-    measure_single_walk, measure_single_walk_cancellable, MeasurementConfig, TargetPlacement,
+    measure_parallel_common, measure_parallel_strategy, measure_search_strategy,
+    measure_single_flight, measure_single_walk, measure_trials, MeasurementConfig, TargetPlacement,
 };
 pub use json::{Json, JsonParseError};
 pub use plot::AsciiPlot;
 pub use progress::ProgressReporter;
 pub use report::{write_json, TextTable};
-pub use runner::{
-    chunked, count_trials, count_trials_offset, count_trials_offset_cancellable, default_threads,
-    run_trials, run_trials_cancellable, CancelToken,
-};
+pub use runner::{default_threads, run_trials, run_trials_cancellable, CancelToken};
 pub use sweep::{geom_integers, geomspace, linspace, pow2_range};

@@ -6,18 +6,21 @@
 //! chunking (one chunk per worker) therefore leaves most cores idle behind
 //! whichever chunk drew the expensive trials. This runner instead uses
 //! **work stealing over an atomic trial counter**: workers repeatedly claim
-//! small blocks of trial indices (block size shrinks as the queue drains)
-//! and write each result into its pre-assigned slot.
+//! small blocks of trial indices (block size shrinks as the queue drains).
 //!
-//! Determinism is preserved exactly as before: each trial `i` derives its
-//! RNG from `SeedStream::child(i)` and results are placed by trial index,
-//! so output is bit-identical regardless of thread count or scheduling.
-//! This composes with the phase engine in `levy-walks`: a trial's draws
-//! depend only on its own `child(i)` streams, never on which worker ran it.
+//! One worker loop serves every run. It is generic over a per-worker
+//! accumulator: [`run_trials`] collects each block's results next to the
+//! block, and the adaptive estimator's counting path keeps a `u64` hit
+//! count. A 1-thread run calls the same loop inline on the caller's
+//! thread; `threads == 0` means [`default_threads`].
 //!
-//! The previous contiguous-chunk scheduler is kept as [`chunked`] — it is
-//! the baseline that `BENCH_runner.json` compares against.
+//! Determinism: each trial `i` derives its RNG from `SeedStream::child(i)`
+//! and results are reassembled by trial index, so output is bit-identical
+//! regardless of thread count or scheduling. This composes with the phase
+//! engine in `levy-walks`: a trial's draws depend only on its own
+//! `child(i)` streams, never on which worker ran it.
 
+use std::ops::Range;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 
@@ -114,6 +117,80 @@ fn claim_block(next: &AtomicU64, trials: u64, threads: u64) -> Option<(u64, u64)
     }
 }
 
+/// Resolves a requested worker count: 0 means [`default_threads`].
+fn resolve_threads(requested: usize) -> usize {
+    if requested == 0 {
+        default_threads()
+    } else {
+        requested
+    }
+}
+
+/// The block-claiming worker loop every run shares: claims blocks from
+/// `next` and folds each into `acc` until the queue drains (`Some(acc)`)
+/// or `cancel` fires (`None`). The token is polled once per block.
+fn work<A>(
+    next: &AtomicU64,
+    trials: u64,
+    threads: u64,
+    cancel: &CancelToken,
+    mut acc: A,
+    fold: &impl Fn(&mut A, Range<u64>),
+) -> Option<A> {
+    let metrics = crate::obs::runner_metrics();
+    while !cancel.is_cancelled() {
+        let Some((start, end)) = claim_block(next, trials, threads) else {
+            return Some(acc);
+        };
+        metrics.steal_blocks.inc();
+        metrics.trials_started.add(end - start);
+        fold(&mut acc, start..end);
+        metrics.trials_completed.add(end - start);
+    }
+    None
+}
+
+/// Runs [`work`] on `threads` workers (0 = [`default_threads`]), each
+/// folding the blocks it claims into its own accumulator from `init`.
+/// Returns one accumulator per worker, or `None` if `cancel` fired. A
+/// single worker runs inline on the caller's thread.
+fn run_workers<A, I, F>(
+    trials: u64,
+    threads: usize,
+    cancel: &CancelToken,
+    init: I,
+    fold: F,
+) -> Option<Vec<A>>
+where
+    A: Send,
+    I: Fn() -> A + Sync,
+    F: Fn(&mut A, Range<u64>) + Sync,
+{
+    let threads = resolve_threads(threads).min(trials.max(1) as usize);
+    let next = AtomicU64::new(0);
+    let worker = || work(&next, trials, threads as u64, cancel, init(), &fold);
+    let accs: Vec<Option<A>> = if threads == 1 {
+        let acc = worker();
+        // This thread outlives the run, so its batched sampler tallies
+        // only reach the registry via an explicit flush.
+        levy_rng::flush_draw_stats();
+        vec![acc]
+    } else {
+        std::thread::scope(|scope| {
+            let handles: Vec<_> = (0..threads).map(|_| scope.spawn(worker)).collect();
+            handles
+                .into_iter()
+                .map(|h| h.join().expect("trial worker panicked"))
+                .collect()
+        })
+    };
+    let accs: Option<Vec<A>> = accs.into_iter().collect();
+    if accs.is_none() {
+        crate::obs::runner_metrics().runs_cancelled.inc();
+    }
+    accs
+}
+
 /// Runs `trials` independent trials of `f`, in parallel, returning results
 /// in trial order.
 ///
@@ -122,7 +199,7 @@ fn claim_block(next: &AtomicU64, trials: u64, threads: u64) -> Option<(u64, u64)
 /// steal shrinking index blocks from a shared atomic counter, so
 /// heavy-tailed per-trial costs spread across cores instead of serializing
 /// behind the slowest contiguous chunk — while results remain bit-identical
-/// for every thread count.
+/// for every thread count. `threads == 0` means [`default_threads`].
 ///
 /// # Examples
 ///
@@ -167,123 +244,50 @@ where
     T: Send,
     F: Fn(u64, &mut SmallRng) -> T + Sync,
 {
-    let metrics = crate::obs::runner_metrics();
-    let threads = threads.max(1).min(trials.max(1) as usize);
-    if threads == 1 {
-        let mut out = Vec::with_capacity(trials as usize);
-        for start in (0..trials).step_by(MAX_BLOCK as usize) {
-            if cancel.is_cancelled() {
-                metrics.runs_cancelled.inc();
-                return None;
-            }
-            let end = (start + MAX_BLOCK).min(trials);
-            metrics.trials_started.add(end - start);
-            for i in start..end {
-                let mut rng = seeds.child(i).rng();
-                out.push(f(i, &mut rng));
-            }
-            metrics.trials_completed.add(end - start);
-        }
-        // This thread outlives the run, so its batched sampler tallies
-        // only reach the registry via an explicit flush.
-        levy_rng::flush_draw_stats();
-        return Some(out);
-    }
-    let next = AtomicU64::new(0);
-    let mut buckets: Vec<Vec<(u64, T)>> = Vec::with_capacity(threads);
-    let mut aborted = false;
-    std::thread::scope(|scope| {
-        let mut handles = Vec::with_capacity(threads);
-        for _ in 0..threads {
-            let next = &next;
-            let f = &f;
-            handles.push(scope.spawn(move || {
-                let mut out: Vec<(u64, T)> = Vec::new();
-                while !cancel.is_cancelled() {
-                    let Some((start, end)) = claim_block(next, trials, threads as u64) else {
-                        return (out, false);
-                    };
-                    metrics.steal_blocks.inc();
-                    metrics.trials_started.add(end - start);
-                    out.reserve(end.saturating_sub(start) as usize);
-                    for i in start..end {
-                        let mut rng = seeds.child(i).rng();
-                        out.push((i, f(i, &mut rng)));
-                    }
-                    metrics.trials_completed.add(end - start);
-                }
-                (out, true)
-            }));
-        }
-        for h in handles {
-            let (bucket, worker_aborted) = h.join().expect("trial worker panicked");
-            aborted |= worker_aborted;
-            buckets.push(bucket);
-        }
-    });
-    if aborted {
-        metrics.runs_cancelled.inc();
-        return None;
-    }
-    // Place results into their pre-assigned slots, restoring trial order.
-    let mut slots: Vec<Option<T>> = (0..trials).map(|_| None).collect();
-    for bucket in buckets {
-        for (i, value) in bucket {
-            slots[i as usize] = Some(value);
-        }
-    }
-    Some(
-        slots
-            .into_iter()
-            .map(|slot| slot.expect("every trial index claimed exactly once"))
-            .collect(),
-    )
-}
-
-/// Counts, in parallel, the trials for which `predicate` holds.
-///
-/// Unlike [`run_trials`], no per-trial results are materialized: each
-/// worker keeps a `u64` partial sum over the blocks it steals and the
-/// partials are added at the end.
-pub fn count_trials<F>(trials: u64, seeds: SeedStream, threads: usize, predicate: F) -> u64
-where
-    F: Fn(u64, &mut SmallRng) -> bool + Sync,
-{
-    count_trials_offset(trials, 0, seeds, threads, predicate)
-}
-
-/// Counts trials like [`count_trials`], but over the global trial indices
-/// `[offset, offset + trials)`: trial `i` derives its RNG from
-/// `seeds.child(offset + i)` and `predicate` receives `offset + i`.
-///
-/// This is the batched-extension primitive behind
-/// [`estimate_probability`](crate::estimate_probability): an adaptive run
-/// that consumes trials `0..n` and later `n..m` observes exactly the
-/// trials a single non-adaptive run of `m` trials would.
-pub fn count_trials_offset<F>(
-    trials: u64,
-    offset: u64,
-    seeds: SeedStream,
-    threads: usize,
-    predicate: F,
-) -> u64
-where
-    F: Fn(u64, &mut SmallRng) -> bool + Sync,
-{
-    count_trials_offset_cancellable(
+    // Each worker keeps its results in claim order, next to the blocks
+    // they came from.
+    type Claimed<T> = (Vec<Range<u64>>, Vec<T>);
+    let mut workers = run_workers(
         trials,
-        offset,
-        seeds,
         threads,
-        &CancelToken::new(),
-        predicate,
-    )
-    .expect("uncancelled count completes")
+        cancel,
+        Claimed::default,
+        |(blocks, out): &mut Claimed<T>, block: Range<u64>| {
+            out.extend(block.clone().map(|i| f(i, &mut seeds.child(i).rng())));
+            blocks.push(block);
+        },
+    )?;
+    if workers.len() == 1 {
+        // A single worker's blocks arrive in trial order.
+        return workers.pop().map(|(_, out)| out);
+    }
+    // Restore trial order: each worker claims ascending blocks, so taking
+    // blocks by start drains every worker's results front to back.
+    let mut blocks: Vec<(u64, u64, usize)> = workers
+        .iter()
+        .enumerate()
+        .flat_map(|(w, (blocks, _))| blocks.iter().map(move |b| (b.start, b.end, w)))
+        .collect();
+    blocks.sort_unstable();
+    let mut results: Vec<_> = workers
+        .into_iter()
+        .map(|(_, out)| out.into_iter())
+        .collect();
+    let mut ordered = Vec::with_capacity(trials as usize);
+    for (start, end, w) in blocks {
+        ordered.extend(results[w].by_ref().take((end - start) as usize));
+    }
+    Some(ordered)
 }
 
-/// [`count_trials_offset`] with a cooperative [`CancelToken`]: returns
-/// `None` if `cancel` fires before all `trials` are counted.
-pub fn count_trials_offset_cancellable<F>(
+/// Counts the trials of global indices `[offset, offset + trials)` for
+/// which `predicate` holds, without materializing per-trial results:
+/// trial `i` derives its RNG from `seeds.child(i)`, so counting `0..n`
+/// and then `n..m` observes exactly the trials of one count over `0..m`
+/// (the batched extension behind
+/// [`estimate_probability`](crate::estimate_probability)). Returns `None`
+/// if `cancel` fires first.
+pub(crate) fn count_hits<F>(
     trials: u64,
     offset: u64,
     seeds: SeedStream,
@@ -294,124 +298,18 @@ pub fn count_trials_offset_cancellable<F>(
 where
     F: Fn(u64, &mut SmallRng) -> bool + Sync,
 {
-    let metrics = crate::obs::runner_metrics();
-    let threads = threads.max(1).min(trials.max(1) as usize);
-    if threads == 1 {
-        let mut hits: u64 = 0;
-        for start in (0..trials).step_by(MAX_BLOCK as usize) {
-            if cancel.is_cancelled() {
-                metrics.runs_cancelled.inc();
-                return None;
-            }
-            let end = (start + MAX_BLOCK).min(trials);
-            metrics.trials_started.add(end - start);
-            for i in start..end {
-                let global = offset + i;
-                let mut rng = seeds.child(global).rng();
-                if predicate(global, &mut rng) {
-                    hits += 1;
-                }
-            }
-            metrics.trials_completed.add(end - start);
-        }
-        levy_rng::flush_draw_stats();
-        return Some(hits);
-    }
-    let next = AtomicU64::new(0);
-    let mut total: u64 = 0;
-    let mut aborted = false;
-    std::thread::scope(|scope| {
-        let mut handles = Vec::with_capacity(threads);
-        for _ in 0..threads {
-            let next = &next;
-            let predicate = &predicate;
-            handles.push(scope.spawn(move || {
-                let mut hits: u64 = 0;
-                while !cancel.is_cancelled() {
-                    let Some((start, end)) = claim_block(next, trials, threads as u64) else {
-                        return (hits, false);
-                    };
-                    metrics.steal_blocks.inc();
-                    metrics.trials_started.add(end - start);
-                    for i in start..end {
-                        let global = offset + i;
-                        let mut rng = seeds.child(global).rng();
-                        if predicate(global, &mut rng) {
-                            hits += 1;
-                        }
-                    }
-                    metrics.trials_completed.add(end - start);
-                }
-                (hits, true)
-            }));
-        }
-        for h in handles {
-            let (hits, worker_aborted) = h.join().expect("trial worker panicked");
-            aborted |= worker_aborted;
-            total += hits;
-        }
-    });
-    if aborted {
-        metrics.runs_cancelled.inc();
-        return None;
-    }
-    Some(total)
-}
-
-/// The seed scheduler this runner replaced: static contiguous chunking,
-/// one chunk per worker.
-///
-/// Kept (not deprecated) as the measured baseline for the bench snapshot
-/// pipeline — `BENCH_runner.json` records the throughput of
-/// [`run_trials`](crate::run_trials) relative to [`chunked::run_trials`].
-/// Output is bit-identical to the work-stealing runner; only the schedule
-/// differs.
-pub mod chunked {
-    use super::*;
-
-    /// Runs `trials` trials split into `threads` contiguous chunks.
-    ///
-    /// Each worker processes one chunk; the makespan is therefore the cost
-    /// of the most expensive chunk, which under heavy-tailed trial costs
-    /// is far above the mean — exactly the imbalance the work-stealing
-    /// runner removes.
-    pub fn run_trials<T, F>(trials: u64, seeds: SeedStream, threads: usize, f: F) -> Vec<T>
-    where
-        T: Send,
-        F: Fn(u64, &mut SmallRng) -> T + Sync,
-    {
-        let threads = threads.max(1).min(trials.max(1) as usize);
-        if threads == 1 {
-            return (0..trials)
-                .map(|i| {
-                    let mut rng = seeds.child(i).rng();
-                    f(i, &mut rng)
-                })
-                .collect();
-        }
-        let chunk = trials.div_ceil(threads as u64);
-        let mut chunks: Vec<Vec<T>> = Vec::with_capacity(threads);
-        std::thread::scope(|scope| {
-            let mut handles = Vec::with_capacity(threads);
-            for w in 0..threads as u64 {
-                let start = w * chunk;
-                let end = ((w + 1) * chunk).min(trials);
-                let f = &f;
-                handles.push(scope.spawn(move || {
-                    (start..end)
-                        .map(|i| {
-                            let mut rng = seeds.child(i).rng();
-                            f(i, &mut rng)
-                        })
-                        .collect::<Vec<T>>()
-                }));
-            }
-            for h in handles {
-                chunks.push(h.join().expect("trial worker panicked"));
-            }
-        });
-        chunks.into_iter().flatten().collect()
-    }
+    let hits = run_workers(
+        trials,
+        threads,
+        cancel,
+        || 0u64,
+        |hits: &mut u64, block: Range<u64>| {
+            *hits += (offset + block.start..offset + block.end)
+                .filter(|&i| predicate(i, &mut seeds.child(i).rng()))
+                .count() as u64;
+        },
+    )?;
+    Some(hits.into_iter().sum())
 }
 
 #[cfg(test)]
@@ -456,11 +354,12 @@ mod tests {
     }
 
     #[test]
-    fn stealing_matches_chunked_bit_for_bit() {
+    fn stealing_matches_sequential_bit_for_bit() {
         let f = |i: u64, rng: &mut rand::rngs::SmallRng| -> u64 { rng.gen::<u64>() ^ (i << 1) };
-        let stealing = run_trials(513, SeedStream::new(21), 7, f);
-        let legacy = chunked::run_trials(513, SeedStream::new(21), 4, f);
-        assert_eq!(stealing, legacy);
+        let seeds = SeedStream::new(21);
+        let stealing = run_trials(513, seeds, 7, f);
+        let sequential: Vec<u64> = (0..513).map(|i| f(i, &mut seeds.child(i).rng())).collect();
+        assert_eq!(stealing, sequential);
     }
 
     #[test]
@@ -478,16 +377,32 @@ mod tests {
     }
 
     #[test]
-    fn count_trials_counts() {
-        let n = count_trials(100, SeedStream::new(3), 4, |i, _| i % 4 == 0);
-        assert_eq!(n, 25);
+    fn zero_threads_resolve_to_the_machine_default() {
+        assert_eq!(resolve_threads(0), default_threads());
+        assert!(resolve_threads(0) >= 1);
+        assert_eq!(resolve_threads(3), 3);
+    }
+
+    #[test]
+    fn single_thread_runs_claim_blocks() {
+        let blocks = &crate::obs::runner_metrics().steal_blocks;
+        let before = blocks.get();
+        run_trials(10, SeedStream::new(4), 1, |i, _| i);
+        assert!(blocks.get() > before, "a 1-thread run counts its blocks");
+    }
+
+    #[test]
+    fn count_hits_counts() {
+        let token = CancelToken::new();
+        let n = count_hits(100, 0, SeedStream::new(3), 4, &token, |i, _| i % 4 == 0);
+        assert_eq!(n, Some(25));
     }
 
     #[test]
     fn count_matches_run_then_filter() {
         let seeds = SeedStream::new(17);
         let predicate = |_: u64, rng: &mut rand::rngs::SmallRng| rng.gen::<f64>() < 0.37;
-        let counted = count_trials(5_000, seeds, 8, predicate);
+        let counted = count_hits(5_000, 0, seeds, 8, &CancelToken::new(), predicate).unwrap();
         let collected = run_trials(5_000, seeds, 8, predicate)
             .into_iter()
             .filter(|&b| b)
@@ -501,10 +416,10 @@ mod tests {
         let seeds = SeedStream::new(23);
         let predicate =
             |i: u64, rng: &mut rand::rngs::SmallRng| (rng.gen::<u64>() ^ i).is_multiple_of(3);
-        let whole = count_trials(300, seeds, 4, predicate);
-        let head = count_trials_offset(100, 0, seeds, 4, predicate);
-        let tail = count_trials_offset(200, 100, seeds, 4, predicate);
-        assert_eq!(whole, head + tail);
+        let count = |trials, offset| {
+            count_hits(trials, offset, seeds, 4, &CancelToken::new(), predicate).unwrap()
+        };
+        assert_eq!(count(300, 0), count(100, 0) + count(200, 100));
     }
 
     #[test]
@@ -520,19 +435,6 @@ mod tests {
         let tokened =
             run_trials_cancellable(513, SeedStream::new(31), 4, &CancelToken::new(), f).unwrap();
         assert_eq!(plain, tokened);
-        let counted = count_trials_offset_cancellable(
-            513,
-            0,
-            SeedStream::new(31),
-            4,
-            &CancelToken::new(),
-            |i, rng| f(i, rng) % 2 == 0,
-        )
-        .unwrap();
-        assert_eq!(
-            counted,
-            count_trials(513, SeedStream::new(31), 4, |i, rng| f(i, rng) % 2 == 0)
-        );
     }
 
     #[test]
@@ -541,10 +443,7 @@ mod tests {
         token.cancel();
         assert!(run_trials_cancellable(100, SeedStream::new(1), 1, &token, |i, _| i).is_none());
         assert!(run_trials_cancellable(5_000, SeedStream::new(1), 4, &token, |i, _| i).is_none());
-        assert!(
-            count_trials_offset_cancellable(100, 0, SeedStream::new(1), 1, &token, |_, _| true)
-                .is_none()
-        );
+        assert!(count_hits(100, 0, SeedStream::new(1), 1, &token, |_, _| true).is_none());
     }
 
     #[test]
