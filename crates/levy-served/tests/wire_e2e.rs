@@ -326,3 +326,61 @@ fn deadline_mid_stream_emits_a_terminal_error_frame() {
     );
     server.shutdown();
 }
+
+/// The answer headers a query client sees, as
+/// `[Content-Type, X-Levy-Cache, X-Levy-Cache-Tier, X-Levy-Key]`.
+fn answer_headers(header: impl Fn(&str) -> Option<String>) -> [Option<String>; 4] {
+    [
+        header("content-type"),
+        header("x-levy-cache"),
+        header("x-levy-cache-tier"),
+        header("x-levy-key"),
+    ]
+}
+
+fn expected(headers: [Option<&str>; 4]) -> [Option<String>; 4] {
+    headers.map(|h| h.map(str::to_owned))
+}
+
+const E6_KEY: &str = "f559bab57aa6968acb3fcde9be0991f2";
+
+#[test]
+fn buffered_query_header_sets_are_pinned_for_miss_and_hit() {
+    let (server, client) = start(test_config());
+    for (disposition, tier) in [("miss", None), ("hit", Some("memory"))] {
+        let response = client.post("/v1/query", E6_QUERY).expect("query ok");
+        assert_eq!(response.status, 200);
+        assert_eq!(
+            answer_headers(|name| response.header(name).map(str::to_owned)),
+            expected([
+                Some("application/json"),
+                Some(disposition),
+                tier,
+                Some(E6_KEY)
+            ]),
+        );
+    }
+    server.shutdown();
+}
+
+#[test]
+fn streamed_query_header_sets_are_pinned_for_miss_and_hit() {
+    let (server, client) = start(test_config());
+    for (disposition, tier) in [("miss", None), ("hit", Some("memory"))] {
+        let (head, mut reader) = client
+            .open_stream("/v1/query", "application/json", &[], E6_QUERY.as_bytes())
+            .expect("stream opens");
+        assert_eq!(head.status, 200);
+        assert_eq!(
+            answer_headers(|name| head.header(name).map(str::to_owned)),
+            expected([
+                Some(STREAM_MEDIA_TYPE),
+                Some(disposition),
+                tier,
+                Some(E6_KEY)
+            ]),
+        );
+        while reader.next_chunk().expect("chunk").is_some() {}
+    }
+    server.shutdown();
+}
