@@ -12,6 +12,9 @@
 //!   Prometheus text-format encoder ([`Registry::encode`]).
 //! - [`exposition`]: the inverse — a text-exposition parser and the
 //!   cross-node merger behind federated `/v1/cluster/metrics` views.
+//! - [`mod@stitch`]: the pure cross-node trace stitch behind cluster-scope
+//!   trace views — [`FinishedTrace`] fragments tagged by node in, one
+//!   span tree out.
 //! - [`events`]: a bounded, seq-cursored [`EventJournal`] of typed
 //!   cluster events (peer flips, epoch bumps, handoff lifecycle, ...).
 //! - [`trace`]: RAII [`Span`] guards recording wall time into histograms,
@@ -44,6 +47,7 @@ pub mod metrics;
 pub mod observe;
 pub mod registry;
 pub mod sketch;
+pub mod stitch;
 pub mod trace;
 pub mod traces;
 
@@ -58,5 +62,6 @@ pub use metrics::{
 pub use observe::{observers_enabled, set_observers_enabled};
 pub use registry::{register_process_metrics, Registry};
 pub use sketch::P2Quantile;
+pub use stitch::{stitch, SpanRef, StitchedSpan, StitchedTrace};
 pub use trace::{set_trace_enabled, trace_enabled, Span, SpanContext, SpanId, TraceId};
 pub use traces::{FinishedTrace, SpanRecord, TraceSpan, TraceStore};

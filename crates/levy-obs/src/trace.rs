@@ -66,8 +66,9 @@ pub fn set_trace_enabled(enabled: bool) {
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
 pub struct TraceId(pub u128);
 
-/// 64-bit span identity, rendered as 16 lowercase hex digits.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
+/// 64-bit span identity, rendered as 16 lowercase hex digits (so the
+/// numeric order is the rendered order).
+#[derive(Clone, Copy, Debug, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct SpanId(pub u64);
 
 impl std::fmt::Display for TraceId {
