@@ -99,6 +99,11 @@ pub struct Stats {
     /// terminal frame, detaching its waiter (the last one out cancels
     /// the job).
     pub streams_cancelled: Counter,
+    /// Connections answered `503` by the accept thread because the
+    /// open-connection cap was reached.
+    pub connections_shed: Counter,
+    /// Connections currently being handled (each holds one thread).
+    pub open_connections: Gauge,
     /// Jobs currently in the bounded queue.
     pub queue_depth: Gauge,
     /// Configured queue capacity (constant per server; exported so
@@ -239,6 +244,14 @@ impl Stats {
             "levy_served_streams_cancelled_total",
             "Streams abandoned by a client disconnect before the terminal frame.",
         );
+        let connections_shed = registry.counter(
+            "levy_served_connections_shed_total",
+            "Connections answered 503 at the open-connection cap.",
+        );
+        let open_connections = registry.gauge(
+            "levy_served_open_connections",
+            "Connections currently being handled.",
+        );
         let queue_depth = registry.gauge(
             "levy_served_queue_depth",
             "Jobs currently in the bounded queue.",
@@ -294,6 +307,8 @@ impl Stats {
             wire_requests,
             streams_started,
             streams_cancelled,
+            connections_shed,
+            open_connections,
             queue_depth,
             queue_capacity,
             workers_busy,

@@ -7,6 +7,8 @@
 //! across worker/thread configurations and cache tiers, backpressure,
 //! and deadline behaviour.
 
+use std::io::Read;
+use std::net::TcpStream;
 use std::path::PathBuf;
 use std::sync::{Arc, Barrier};
 use std::time::Duration;
@@ -373,5 +375,33 @@ fn health_stats_and_shutdown_endpoints_work() {
     let shutdown = client.post("/v1/shutdown", "").expect("ok");
     assert_eq!(shutdown.status, 202);
     assert!(server.shutdown_requested());
+    server.shutdown();
+}
+
+#[test]
+fn connections_past_the_open_cap_are_shed_with_503() {
+    // Idle connections hold their handler threads until the read
+    // deadline; 64 of them fill the cap.
+    let (server, _client) = start(ServerConfig {
+        read_timeout_ms: 120_000,
+        ..test_config()
+    });
+    let idle: Vec<TcpStream> = (0..64)
+        .map(|_| TcpStream::connect(server.addr()).expect("connect"))
+        .collect();
+    // The accept loop takes connections in order, so the 65th is judged
+    // after the 64 ahead of it were counted open.
+    let mut shed = TcpStream::connect(server.addr()).expect("connect");
+    shed.set_read_timeout(Some(Duration::from_secs(20)))
+        .unwrap();
+    let mut answer = String::new();
+    shed.read_to_string(&mut answer)
+        .expect("the accept thread answers and closes");
+    assert!(answer.starts_with("HTTP/1.1 503 "), "answer: {answer:?}");
+    assert!(answer.contains("Retry-After: 1\r\n"), "answer: {answer:?}");
+    let metrics = server.stats().encode_prometheus();
+    assert!(metrics.contains("levy_served_connections_shed_total 1\n"));
+    assert!(metrics.contains("levy_served_open_connections 64\n"));
+    drop(idle);
     server.shutdown();
 }
