@@ -39,8 +39,9 @@
 //!   raw METHOD PATH [BODY]     arbitrary request (debugging)
 //! ```
 //!
-//! The response body goes to stdout; the status line and cache
-//! disposition (`X-Levy-Cache` / `X-Levy-Cache-Tier`) go to stderr.
+//! The response body goes to stdout; the status line, cache
+//! disposition (`X-Levy-Cache` / `X-Levy-Cache-Tier`) and cache key
+//! (`X-Levy-Key`, as `key: ...`) go to stderr.
 //! Exit status is 0 for 2xx responses, 1 otherwise.
 //!
 //! Every `query` carries a freshly minted `traceparent` header, so the
@@ -883,6 +884,9 @@ fn main() -> ExitCode {
             if let Some(cache) = response.header("x-levy-cache") {
                 let tier = response.header("x-levy-cache-tier").unwrap_or("-");
                 eprintln!("cache: {cache} (tier: {tier})");
+            }
+            if let Some(key) = response.header("x-levy-key") {
+                eprintln!("key: {key}");
             }
             if outcome.announce_trace {
                 if let Some(id) = response.header("x-levy-trace-id") {

@@ -4,13 +4,14 @@
 #   1. bring up a 3-node cluster on local ports (retrying the port pick
 #      if something else grabbed one);
 #   2. check every node's health and the /v1/peers membership view;
-#   3. run the same query through each node in turn: exactly ONE
-#      simulation must happen cluster-wide, the bodies must be
-#      byte-identical, and at least one answer must come from a
-#      cross-node cache peek — asserted from a live /metrics scrape
-#      (whichever node is the key's home, the two non-home entries both
-#      cross the network, and the later one always finds the home's
-#      cache warm);
+#   3. run the same query through every node: exactly ONE simulation
+#      must happen cluster-wide, the bodies must be byte-identical, and
+#      at least one answer must come from a cross-node cache peek —
+#      asserted from a live /metrics scrape. Which nodes hold the key
+#      depends on the port block, so the order comes from the ring
+#      (`levy ring`): node 0 first (its answer names the key), then the
+#      key's other holder(s), and the one non-holder last, once the
+#      holders' caches are warm;
 #   4. rolling membership: warm a spread of keys, then admit a 4th node
 #      (token-gated `levyc peers add` broadcast) while query load runs —
 #      zero client-visible errors, byte-identical bodies throughout, the
@@ -26,15 +27,17 @@
 #
 # Usage: scripts/cluster_smoke.sh [path-to-target-dir]
 #   Binaries are taken from $1/release (default: target/release); build
-#   them first with `cargo build --release -p levy-served`.
+#   them first with `cargo build --release -p levy-served -p parallel-levy-walks`.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
 TARGET="${1:-target}/release"
 LEVYD="$TARGET/levyd"
 LEVYC="$TARGET/levyc"
-[ -x "$LEVYD" ] && [ -x "$LEVYC" ] || {
-  echo "error: $LEVYD / $LEVYC not built (run: cargo build --release -p levy-served)" >&2
+LEVY="$TARGET/levy"
+[ -x "$LEVYD" ] && [ -x "$LEVYC" ] && [ -x "$LEVY" ] || {
+  echo "error: $LEVYD / $LEVYC / $LEVY not built" \
+    "(run: cargo build --release -p levy-served -p parallel-levy-walks)" >&2
   exit 2
 }
 
@@ -120,16 +123,36 @@ scrape_sum() {
 QUERY='{"kind":"parallel","strategy":"optimal","k":8,"ell":16,"budget":4000,"trials":200,"seed":42}'
 
 # 3. The same query through every node: one simulation, identical bytes,
-#    and a cross-node cache hit visible in the metrics.
-for I in 0 1 2; do
-  "$LEVYC" --endpoints "${ADDRS[$I]}" query "$QUERY" >"$WORKDIR/answer$I.json" 2>"$WORKDIR/answer$I.hdr"
+#    and a cross-node cache hit visible in the metrics. Node 0 answers
+#    first (simulating, or forwarding to the key's home); the home's
+#    write-behind then warms the other holder. The holders answer from
+#    their own caches, and the non-holder, asked last, must peek one.
+"$LEVYC" --endpoints "${ADDRS[0]}" query "$QUERY" >"$WORKDIR/answer0.json" 2>"$WORKDIR/answer0.hdr"
+KEY="$(sed -n 's/^key: //p' "$WORKDIR/answer0.hdr")"
+PREFERENCE="$("$LEVY" ring --members "$(IFS=,; echo "${ADDRS[*]}")" --key "$KEY" |
+  sed -n 's/^preference = //p')"
+read -r -a RING_ORDER <<<"${PREFERENCE// -> / }"
+[ "${#RING_ORDER[@]}" -eq 3 ] || {
+  echo "levy ring gave no 3-member preference list for key '$KEY': $PREFERENCE" >&2; exit 1
+}
+ENTRIES=()
+for A in "${RING_ORDER[@]:0:2}"; do # --replication 2: the first two hold the key
+  [ "$A" = "${ADDRS[0]}" ] || ENTRIES+=("$A")
 done
-for I in 1 2; do
-  cmp -s "$WORKDIR/answer0.json" "$WORKDIR/answer$I.json" || {
-    echo "bodies differ between entry nodes 0 and $I" >&2
-    diff "$WORKDIR/answer0.json" "$WORKDIR/answer$I.json" >&2 || true
+ENTRIES+=("${RING_ORDER[2]}")
+for _ in $(seq 1 50); do
+  [ "$(scrape_sum levy_served_cluster_replica_writes_total)" -ge 1 ] && break
+  sleep 0.1
+done
+N=1
+for A in "${ENTRIES[@]}"; do
+  "$LEVYC" --endpoints "$A" query "$QUERY" >"$WORKDIR/answer$N.json" 2>"$WORKDIR/answer$N.hdr"
+  cmp -s "$WORKDIR/answer0.json" "$WORKDIR/answer$N.json" || {
+    echo "bodies differ between entry nodes ${ADDRS[0]} and $A" >&2
+    diff "$WORKDIR/answer0.json" "$WORKDIR/answer$N.json" >&2 || true
     exit 1
   }
+  N=$((N + 1))
 done
 SIMS="$(scrape_sum levy_served_simulations_started_total)"
 [ "$SIMS" -eq 1 ] || {
@@ -138,7 +161,7 @@ SIMS="$(scrape_sum levy_served_simulations_started_total)"
 PEEK_HITS="$(scrape_sum levy_served_cluster_peek_hits_total)"
 [ "$PEEK_HITS" -ge 1 ] || {
   echo "expected >=1 cross-node cache peek hit, /metrics says $PEEK_HITS" >&2
-  for I in 0 1 2; do cat "$WORKDIR/answer$I.hdr" >&2; done
+  for I in $(seq 0 $((N - 1))); do cat "$WORKDIR/answer$I.hdr" >&2; done
   exit 1
 }
 echo "query via 3 entries: 1 simulation, byte-identical bodies, $PEEK_HITS cross-node cache hit(s)"
